@@ -13,6 +13,10 @@ derivative of the extended sine and satisfies
     |cos_pq x|**p + |sin_pq x|**q = 1.
 
 For (p, q) = (2, 2) all of this reduces to the circular functions and pi.
+
+The substitution u = t**q turns F into the incomplete Beta function
+(1/q) B_{x**q}(1/q, 1 - 1/p), which the inversion evaluates by continued
+fraction; pi_pq alone is integrated by quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integrate_endpoint_singular, solve_increasing
+from .numerics import incomplete_beta, integrate_endpoint_singular, solve_increasing
 
 __all__ = [
     "ParamPair",
@@ -83,15 +87,11 @@ class EvalConfig:
 
     quad_tol: float = 1e-13
     root_tol: float = 1e-13
-    identity_tol: float = 1e-9
     max_iter: int = 100
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (self.quad_tol > 0 and self.root_tol > 0 and self.identity_tol > 0):
+        if not (self.quad_tol > 0 and self.root_tol > 0):
             raise DomainError("all tolerances must be positive")
-        if not (self.fd_step > 0):
-            raise DomainError("fd_step must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
@@ -124,48 +124,60 @@ _TABLE_CACHE: dict[tuple[float, float, float], tuple[np.ndarray, ...]] = {}
 _TABLE_SIZE = 33
 
 
-def _arc_integral(p: float, q: float, s: float, tol: float) -> float:
-    """F(s) for s in [0, 1], with the (possible) singularity mapped to a zero
-    lower endpoint.
+def _arc_integral(p: float, q: float, s: float, half_pi: float) -> float:
+    """F(s) = (1/q) B_x(1/q, 1 - 1/p) with x = s**q, for s in [0, 1].
 
-    Substituting t = s (1 - w) gives F(s) = s * integral_0^1 f(w) dw with
-    f(w) = (1 - (s(1-w))**q)**(-1/p); the base 1 - (s(1-w))**q is evaluated as
-    -expm1(q (log s + log1p(-w))) which stays fully accurate as w -> 0 even
-    when s = 1.
+    s**q is never raised to 1/q again: the front factor x**(1/q) of the
+    incomplete Beta fraction is s itself, so F stays right where s**q
+    underflows.  Above the fraction's convergence threshold the symmetric
+    form subtracts from ``half_pi`` = F(1), with 1 - s**q formed as
+    -expm1(q log s).
     """
     if s <= 0.0:
         return 0.0
-    ln_s = math.log(s)
-    inv_p = -1.0 / p
+    a, b = 1.0 / q, (p - 1.0) / p
+    q_ln_s = q * math.log(s)
+    x = math.exp(q_ln_s)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return incomplete_beta(a, b, x, s * math.exp(b * math.log1p(-x))) / q
+    y = -math.expm1(q_ln_s)
+    return half_pi - incomplete_beta(b, a, y, y**b * s) / q
 
-    def f(w: np.ndarray) -> np.ndarray:
-        return np.power(-np.expm1(q * (ln_s + np.log1p(-w))), inv_p)
 
-    return s * integrate_endpoint_singular(f, 0.0, 1.0, tol).value
+def _arc_tail(p: float, q: float, v: float, half_pi: float) -> float:
+    """F(1) - F(1 - v) = (1/q) B_y(1 - 1/p, 1/q) with y = 1 - (1 - v)**q.
 
-
-def _arc_tail(p: float, q: float, v: float, tol: float) -> float:
-    """F(1) - F(1 - v) = integral_0^v (1 - (1-u)**q)**(-1/p) du for v in [0, 1].
-
-    The integration variable is the distance below the upper limit of F, so
-    the singular end sits at u = 0 where float spacing is no obstacle.
+    y is formed as -expm1(q log1p(-v)), without cancellation, and
+    ((1 - v)**q)**(1/q) is 1 - v itself, as in ``_arc_integral``.
     """
     if v <= 0.0:
         return 0.0
-    inv_p = -1.0 / p
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return np.power(-np.expm1(q * np.log1p(-u)), inv_p)
-
-    return integrate_endpoint_singular(f, 0.0, v, tol).value
+    if v >= 1.0:
+        return half_pi
+    a, b = 1.0 / q, (p - 1.0) / p
+    q_ln_u = q * math.log1p(-v)
+    y = -math.expm1(q_ln_u)
+    if y < (b + 1.0) / (a + b + 2.0):
+        return incomplete_beta(b, a, y, y**b * (1.0 - v)) / q
+    return half_pi - incomplete_beta(a, b, math.exp(q_ln_u), (1.0 - v) * y**b) / q
 
 
 def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """The generalized circle constant pi_pq = 2 F(1), cached per (p, q)."""
+    """The generalized circle constant pi_pq = 2 F(1), cached per (p, q).
+
+    It is integrated by tanh-sinh quadrature, independently of the incomplete
+    Beta fraction that gives F below 1, in the reflected variable
+    u = 1 - t, which puts the singularity at a zero lower endpoint.
+    """
     key = (pp.p, pp.q, config.quad_tol)
     value = _PI_CACHE.get(key)
     if value is None:
-        value = 2.0 * _arc_integral(pp.p, pp.q, 1.0, config.quad_tol)
+        q, inv_p = pp.q, -1.0 / pp.p
+
+        def f(u: np.ndarray) -> np.ndarray:
+            return np.power(-np.expm1(q * np.log1p(-u)), inv_p)
+
+        value = 2.0 * integrate_endpoint_singular(f, 0.0, 1.0, config.quad_tol).value
         _PI_CACHE[key] = value
     return value
 
@@ -178,12 +190,11 @@ def _lookup_tables(pp: ParamPair, config: EvalConfig) -> tuple[np.ndarray, ...]:
     if tables is not None:
         return tables
     p, q, pstar = pp.p, pp.q, pp.p_star
+    half_pi = 0.5 * pi_pq(pp, config)
     s_grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
-    f_grid = np.array([_arc_integral(p, q, s, config.quad_tol) for s in s_grid])
+    f_grid = np.array([_arc_integral(p, q, s, half_pi) for s in s_grid])
     w_grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
-    h_grid = np.array(
-        [_arc_tail(p, q, w**pstar, config.quad_tol) for w in w_grid]
-    )
+    h_grid = np.array([_arc_tail(p, q, w**pstar, half_pi) for w in w_grid])
     tables = (s_grid, f_grid, w_grid, h_grid)
     _TABLE_CACHE[key] = tables
     return tables
@@ -215,14 +226,13 @@ def _solve_reduced(
         return 0.0, 1.0
     if r >= half_pi:
         return 1.0, 0.0
-    quad_tol = config.quad_tol
     s_grid, f_grid, w_grid, h_grid = _lookup_tables(pp, config)
 
     if r <= 0.5 * half_pi:
         tol = config.root_tol * min(1.0, r)
 
         def f(s: float) -> float:
-            return _arc_integral(p, q, s, quad_tol)
+            return _arc_integral(p, q, s, half_pi)
 
         def df(s: float) -> float:
             base = 1.0 - s**q
@@ -242,7 +252,7 @@ def _solve_reduced(
     tol = config.root_tol * min(1.0, delta)
 
     def fw(w: float) -> float:
-        return _arc_tail(p, q, w**pstar, quad_tol)
+        return _arc_tail(p, q, w**pstar, half_pi)
 
     def dfw(w: float) -> float:
         v = w**pstar
@@ -355,9 +365,10 @@ def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> f
     """F(s) for s in [0, 1]: the inverse of the sine on its principal branch."""
     if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 <= s <= 1.0):
         raise DomainError(f"arcsin_pq requires s in [0, 1], got {s!r}")
+    half_pi = 0.5 * pi_pq(pp, config)
     if s == 1.0:
-        return 0.5 * pi_pq(pp, config)
-    return _arc_integral(pp.p, pp.q, float(s), config.quad_tol)
+        return half_pi
+    return _arc_integral(pp.p, pp.q, float(s), half_pi)
 
 
 def ode_residual(

@@ -135,10 +135,11 @@ def dbl_angle_2_3(
     half_pi = 0.5 * pi_pq(pp, config)
     if not 0.0 <= x <= half_pi:
         raise DomainError(f"x={x!r} outside [0, {half_pi!r}]")
-    s, c = sin_cos(pp, x, config)
-    lhs = sin_pq(pp, 2.0 * x, config).value
-    rhs = 4.0 * s * c * (3.0 + c) ** 3 / ((1.0 + c) * (8.0 + s**3) ** 2)
-    return lhs, rhs
+    return sin_pq(pp, 2.0 * x, config).value, _dbl_rhs_2_3(*sin_cos(pp, x, config))
+
+
+def _dbl_rhs_2_3(s: float, c: float) -> float:
+    return 4.0 * s * c * (3.0 + c) ** 3 / ((1.0 + c) * (8.0 + s**3) ** 2)
 
 
 def dbl_angle_43_2(
@@ -154,16 +155,17 @@ def dbl_angle_43_2(
     half_pi = 0.5 * pi_pq(pp, config)
     if not 0.0 <= x <= half_pi:
         raise DomainError(f"x={x!r} outside [0, {half_pi!r}]")
-    s, c = sin_cos(pp, x, config)
-    lhs = sin_pq(pp, 2.0 * x, config).value
-    rhs = (
+    return sin_pq(pp, 2.0 * x, config).value, _dbl_rhs_43_2(*sin_cos(pp, x, config))
+
+
+def _dbl_rhs_43_2(s: float, c: float) -> float:
+    return (
         4.0
         * s
         * fractional_power(c, 1.0 / 3.0)
         * (1.0 + fractional_power(c, 4.0 / 3.0))
         / (2.0 * fractional_power(c, 2.0 / 3.0) + s**2) ** 2
     )
-    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
@@ -247,33 +249,27 @@ def _dbl_43_4(config: EvalConfig) -> IdentitySpec:
 def _dbl_2_3(config: EvalConfig) -> IdentitySpec:
     pp = ParamPair(2.0, 3.0)
     half = 0.5 * pi_pq(pp, config)
-    return IdentitySpec(
-        "dbl-2-3",
-        pp,
-        (0.0, half),
-        (
-            (
-                lambda x: dbl_angle_2_3(x, config)[0],
-                lambda x: dbl_angle_2_3(x, config)[1],
-            ),
-        ),
-    )
+
+    def lhs(x: float) -> float:
+        return sin_pq(pp, 2.0 * x, config).value
+
+    def rhs(x: float) -> float:
+        return _dbl_rhs_2_3(*sin_cos(pp, x, config))
+
+    return IdentitySpec("dbl-2-3", pp, (0.0, half), ((lhs, rhs),))
 
 
 def _dbl_43_2(config: EvalConfig) -> IdentitySpec:
     pp = ParamPair(4.0 / 3.0, 2.0)
     half = 0.5 * pi_pq(pp, config)
-    return IdentitySpec(
-        "dbl-4:3-2",
-        pp,
-        (0.0, half),
-        (
-            (
-                lambda x: dbl_angle_43_2(x, config)[0],
-                lambda x: dbl_angle_43_2(x, config)[1],
-            ),
-        ),
-    )
+
+    def lhs(x: float) -> float:
+        return sin_pq(pp, 2.0 * x, config).value
+
+    def rhs(x: float) -> float:
+        return _dbl_rhs_43_2(*sin_cos(pp, x, config))
+
+    return IdentitySpec("dbl-4:3-2", pp, (0.0, half), ((lhs, rhs),))
 
 
 def _maf_pairs(p: float) -> tuple[ParamPair, ParamPair, float]:

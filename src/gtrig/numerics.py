@@ -1,5 +1,5 @@
-"""Numerical kernel: tanh-sinh quadrature, classical special functions, and a
-safeguarded monotone root-finder.
+"""Numerical kernel: tanh-sinh quadrature, classical special functions (among
+them the incomplete Beta function), and a safeguarded monotone root-finder.
 
 The quadrature targets integrands with an integrable algebraic singularity at
 an endpoint, which is exactly what the arc-length integrals of generalized
@@ -26,6 +26,7 @@ __all__ = [
     "integrate_endpoint_singular",
     "log_gamma",
     "beta",
+    "incomplete_beta",
     "agm",
     "solve_increasing",
 ]
@@ -90,9 +91,13 @@ def integrate_endpoint_singular(
     singularity at a zero lower endpoint (substitute u = upper - t) where the
     node offsets resolve down to subnormals.
 
-    Levels double the node density until the successive-level difference
-    drops below ``tol``; that difference is the (conservative) error estimate
-    for a double-exponentially convergent rule.
+    Levels double the node density until the error estimate drops below
+    ``tol``.  Each level about squares the relative error of a
+    double-exponentially convergent rule, so both the last successive-level
+    difference d1 and the square of the difference d2 across the last two
+    levels (over the scale of the result) estimate the error of the level
+    before.  The estimate is the larger of the two, so that two levels
+    which agree by accident do not end the refinement early.
 
     Raises NonConvergenceError if the estimate never reaches ``tol`` within
     ``max_evals`` integrand evaluations, and NonFiniteIntegrandError if the
@@ -146,7 +151,7 @@ def integrate_endpoint_singular(
         if d1 == 0.0 and d2 > 1e3 * _EPS * scale:
             # spurious plateau: two levels agree while the one before differs
             continue
-        err = max(d1, 0.5 * _EPS * scale)
+        err = max(d1, d2 * d2 / scale, 0.5 * _EPS * scale)
         if err <= tol:
             return QuadratureResult(results[-1], err, evaluations)
 
@@ -172,6 +177,52 @@ def beta(a: float, b: float) -> float:
     if not (math.isfinite(a) and a > 0 and math.isfinite(b) and b > 0):
         raise DomainError(f"beta requires a, b > 0, got ({a}, {b})")
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+
+
+_TINY = 1e-300
+_CF_MAX_STEPS = 300
+
+
+def incomplete_beta(a: float, b: float, x: float, front: float) -> float:
+    """Unregularized incomplete Beta B_x(a, b), the integral of
+    t**(a-1) (1-t)**(b-1) over [0, x].
+
+    Evaluated as ``front / a`` times the continued fraction of Numerical
+    Recipes section 6.4, summed by the modified Lentz method.  ``front`` is
+    x**a (1 - x)**b, passed in so that a caller knowing it in an exact form
+    can keep it exact where x itself has underflowed (for x = s**q and
+    a = 1/q, x**a is s).  The fraction converges quickly only for
+    0 <= x < (a + 1)/(a + b + 2); above that, callers use the symmetry
+    B_x(a, b) = B(a, b) - B_{1-x}(b, a).
+    """
+    ab, a1 = a + b, a + 1.0
+    c = 1.0
+    d = 1.0 - ab * x / a1
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        # one step takes the even coefficient d_{2m}, then the odd d_{2m+1}
+        for coef in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (ab + m) * x / ((a + m2) * (a1 + m2)),
+        ):
+            d = 1.0 + coef * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + coef / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return front * h / a
+    raise NonConvergenceError(
+        f"incomplete Beta fraction did not converge for a={a!r}, b={b!r}, x={x!r}"
+    )
 
 
 def agm(a: float, b: float) -> float:

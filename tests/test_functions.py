@@ -14,6 +14,8 @@ from gtrig.functions import (
     EvalConfig,
     FunctionValue,
     ParamPair,
+    _arc_integral,
+    _arc_tail,
     arcsin_pq,
     cos_pq,
     fractional_power,
@@ -22,6 +24,7 @@ from gtrig.functions import (
     sin_cos,
     sin_pq,
 )
+from gtrig.numerics import integrate_endpoint_singular
 
 from conftest import (
     AGM_1_SQRT2,
@@ -72,8 +75,6 @@ class TestEvalConfig:
         cfg = EvalConfig()
         assert cfg.quad_tol == 1e-13
         assert cfg.root_tol == 1e-13
-        assert cfg.identity_tol == 1e-9
-        assert cfg.fd_step == 1e-5
         assert cfg.max_iter >= 1
 
     def test_validation(self):
@@ -121,6 +122,78 @@ class TestArcsin:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             arcsin_pq(PP23, bad)
+
+
+def _log_uniform(rng, lo, hi):
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+class TestArcLengthKernel:
+    """F(s) = (1/q) B_{s**q}(1/q, 1 - 1/p) and the tail F(1) - F(1 - v), both
+    from the incomplete Beta fraction, against 30-digit mpmath and against
+    tanh-sinh quadrature of the defining integral."""
+
+    # the corners of the sampled ranges, and q = 255 where (1/32)**q underflows
+    CORNERS = [(1.05, 1.001), (1.05, 1000.0), (1000.0, 1.001), (1000.0, 1000.0),
+               (2.0, 255.0)]
+
+    @staticmethod
+    def _points(rng):
+        ends = list(10.0 ** rng.uniform(-12.0, -1.0, 4))
+        return (list(rng.uniform(0.0, 1.0, 6)) + ends + [1.0 - e for e in ends]
+                + [1.0 / 32.0, 2.0**-40])
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1904)
+        pairs = self.CORNERS + [
+            (_log_uniform(rng, 1.05, 1000.0), _log_uniform(rng, 1.001, 1000.0))
+            for _ in range(40)
+        ]
+        underflows = 0
+        with mpmath.workdps(30):
+            for p, q in pairs:
+                half = 0.5 * pi_pq(ParamPair(p, q))
+                # Above the fraction's threshold F is half_pi minus the rest,
+                # so its absolute error is that of the quadrature's
+                # half_pi = F(1) plus a few of its ulps, and F(1) reaches 21
+                # at (1.05, 1.001): the bound is 1e-14 on the scale of F's
+                # range.
+                bound = 1e-14 * max(1.0, half)
+                a = mpmath.mpf(1) / q
+                b = 1 - mpmath.mpf(1) / p
+                for s in self._points(rng):
+                    underflows += s**q == 0.0
+                    want = float(mpmath.betainc(a, b, 0, mpmath.mpf(s) ** q) / q)
+                    got = _arc_integral(p, q, s, half)
+                    assert abs(got - want) <= bound, (p, q, s)
+                for v in self._points(rng):
+                    # integrating up to 1 keeps 1 - (1 - v)**q from rounding to 1
+                    lower = (1 - mpmath.mpf(v)) ** q
+                    want = float(mpmath.betainc(a, b, lower, 1) / q)
+                    got = _arc_tail(p, q, v, half)
+                    assert abs(got - want) <= bound, (p, q, v)
+        assert underflows >= 5
+
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (4.0 / 3.0, 2.0), (1.1, 7.3),
+                                     (5.0, 1.2), (30.0, 60.0)])
+    def test_against_quadrature(self, p, q):
+        half = 0.5 * pi_pq(ParamPair(p, q))
+
+        def by_quadrature(s):
+            # t = s (1 - w) puts the singularity at w = 0
+            ln_s = math.log(s)
+
+            def f(w):
+                return np.power(-np.expm1(q * (ln_s + np.log1p(-w))), -1.0 / p)
+
+            return s * integrate_endpoint_singular(f, 0.0, 1.0, 1e-13).value
+
+        for s in np.linspace(0.05, 0.95, 7):
+            s = float(s)
+            assert abs(_arc_integral(p, q, s, half) - by_quadrature(s)) <= 1e-13
+            assert abs(_arc_tail(p, q, 1.0 - s, half)
+                       - (half - by_quadrature(s))) <= 1e-13
 
 
 class TestSin:

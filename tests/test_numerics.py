@@ -16,6 +16,7 @@ from gtrig.errors import (
 from gtrig.numerics import (
     agm,
     beta,
+    incomplete_beta,
     integrate_endpoint_singular,
     log_gamma,
     solve_increasing,
@@ -86,6 +87,18 @@ class TestIntegrate:
             quad = 2.0 * integrate_endpoint_singular(f, 0.0, 1.0, 1e-13).value
             closed = (2.0 / q) * beta(1.0 / q, 1.0 - 1.0 / p)
             assert abs(quad - closed) / closed <= 1e-11
+
+    def test_levels_that_agree_by_accident(self):
+        # levels 2 and 3 of this pi_pq integral agree to 8e-14 while both are
+        # 4.5e-12 off; the difference alone stopped the refinement there
+        p, q = 893.5477181395007, 360.99919444854237
+
+        def f(u):
+            return np.power(-np.expm1(q * np.log1p(-u)), -1.0 / p)
+
+        quad = integrate_endpoint_singular(f, 0.0, 1.0, 1e-13).value
+        closed = beta(1.0 / q, 1.0 - 1.0 / p) / q
+        assert abs(quad - closed) <= 1e-13 * closed
 
     def test_non_finite_integrand_raises(self):
         def f(t):
@@ -167,6 +180,39 @@ class TestBeta:
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             beta(a, b)
+
+
+def plain_incomplete_beta(a, b, x):
+    return incomplete_beta(a, b, x, x**a * (1.0 - x) ** b)
+
+
+class TestIncompleteBeta:
+    @given(st.floats(1e-3, 1.0), st.floats(0.0, 0.3))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_forms_for_a_or_b_one(self, c, x):
+        # B_x(c, 1) = x**c / c and B_x(1, c) = (1 - (1 - x)**c) / c
+        assert plain_incomplete_beta(c, 1.0, x) == pytest.approx(
+            x**c / c, rel=4e-15
+        )
+        assert plain_incomplete_beta(1.0, c, x) == pytest.approx(
+            -math.expm1(c * math.log1p(-x)) / c, rel=4e-15, abs=1e-300
+        )
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(406)
+        with mpmath.workdps(30):
+            for _ in range(200):
+                a, b = 10.0 ** rng.uniform(-3.0, 0.0, 2)
+                x = rng.uniform(0.0, (a + 1.0) / (a + b + 2.0))
+                want = float(mpmath.betainc(a, b, 0, x))
+                got = plain_incomplete_beta(a, b, x)
+                assert abs(got - want) <= 4e-15 * want
+
+    def test_non_convergence_raises(self):
+        # far above the threshold (a + 1)/(a + b + 2) the fraction crawls
+        with pytest.raises(NonConvergenceError):
+            plain_incomplete_beta(1.0, 1e6, 0.9)
 
 
 class TestAgm:

@@ -177,7 +177,11 @@ def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
         def f(u: np.ndarray) -> np.ndarray:
             return np.power(-np.expm1(q * np.log1p(-u)), inv_p)
 
-        value = 2.0 * integrate_endpoint_singular(f, 0.0, 1.0, config.quad_tol).value
+        # near p = 1 the integrand overflows; the quadrature's non-finite
+        # check then raises a typed error, not a numpy warning
+        with np.errstate(over="ignore"):
+            result = integrate_endpoint_singular(f, 0.0, 1.0, config.quad_tol)
+        value = 2.0 * result.value
         _PI_CACHE[key] = value
     return value
 

@@ -1,7 +1,12 @@
 """Catalog of the function identities and a sweep-based verification engine.
 
-Every entry pairs evaluable left/right sides with the x-interval on which the
-identity is claimed, so a sweep can report the maximum absolute deviation.
+Every entry is one ``sides`` evaluator plus the x-interval on which the
+identity is claimed.  ``sides(x)`` computes each sin_cos/sin_pq value it
+needs once and returns every side of the entry as a tuple; the entry's
+``comparisons`` name the index pairs of that tuple that must agree (one pair,
+or a chain), so a sweep can report the maximum absolute deviation at one
+evaluation of each function value per point: 1 inversion for pythagorean,
+0 for duality-pi, 3 for lemniscate-add and 2 for every other entry.
 The vocabulary of identity ids is stable public API:
 
 ========================  =====================================================
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,26 +91,20 @@ _TWO_ARG_GRID = 32  # per-axis uniform grid for two-argument identities
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One catalog entry: an id, fixed parameters, a validity interval, and
-    the evaluator pairs to compare (more than one pair for chained
-    equalities)."""
+    """One catalog entry: an id, fixed parameters, a validity interval, one
+    evaluator ``sides(*args)`` that returns every side of the entry at a
+    point, and the index pairs of those sides to compare (more than one pair
+    for chained equalities)."""
 
     identity_id: str
     params: Optional[ParamPair]
     domain: tuple[float, float]
-    comparisons: tuple[tuple[Callable, Callable], ...]
+    sides: Callable[..., tuple[float, ...]]
+    comparisons: tuple[tuple[int, int], ...] = ((0, 1),)
     arity: int = 1
     closed_lo: bool = True
     closed_hi: bool = True
     inset: float = 1e-12  # relative inset applied at any open endpoint
-
-    @property
-    def lhs(self) -> Callable:
-        return self.comparisons[0][0]
-
-    @property
-    def rhs(self) -> Callable:
-        return self.comparisons[0][1]
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,7 @@ def dbl_angle_2_3(
     sin 2x = 4 s c (3 + c)**3 / ((1 + c)(8 + s**3)**2).  The denominator is
     bounded below by 64 on the domain, so there is nothing singular to dodge.
     """
-    pp = ParamPair(2.0, 3.0)
-    half_pi = 0.5 * pi_pq(pp, config)
-    if not 0.0 <= x <= half_pi:
-        raise DomainError(f"x={x!r} outside [0, {half_pi!r}]")
-    return sin_pq(pp, 2.0 * x, config).value, _dbl_rhs_2_3(*sin_cos(pp, x, config))
-
-
-def _dbl_rhs_2_3(s: float, c: float) -> float:
-    return 4.0 * s * c * (3.0 + c) ** 3 / ((1.0 + c) * (8.0 + s**3) ** 2)
+    return eval_identity("dbl-2-3", x, config=config)
 
 
 def dbl_angle_43_2(
@@ -151,125 +143,82 @@ def dbl_angle_43_2(
     right endpoint c = 0 and s = 1, so the quotient is 0/1 and matches the
     vanishing left side.
     """
-    pp = ParamPair(4.0 / 3.0, 2.0)
-    half_pi = 0.5 * pi_pq(pp, config)
-    if not 0.0 <= x <= half_pi:
-        raise DomainError(f"x={x!r} outside [0, {half_pi!r}]")
-    return sin_pq(pp, 2.0 * x, config).value, _dbl_rhs_43_2(*sin_cos(pp, x, config))
-
-
-def _dbl_rhs_43_2(s: float, c: float) -> float:
-    return (
-        4.0
-        * s
-        * fractional_power(c, 1.0 / 3.0)
-        * (1.0 + fractional_power(c, 4.0 / 3.0))
-        / (2.0 * fractional_power(c, 2.0 / 3.0) + s**2) ** 2
-    )
+    return eval_identity("dbl-4:3-2", x, config=config)
 
 
 # --------------------------------------------------------------------------
 # catalog builders
+#
+# Each ``sides`` evaluator computes every function value it needs once, and
+# calls sin_cos, sin_pq and pi_pq through this module's globals at call time,
+# so that rebinding those names (as a tracer does) reaches every sweep.
+
+
+# id -> ((p, q), domain from pi_pq, right side from s, c = sin_cos(x)); the
+# left side is always sin_pq(2x).
+_DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
+    "dbl-2-2": ((2.0, 2.0), lambda pi: (-10.0, 10.0), lambda s, c: 2.0 * s * c),
+    "dbl-2-4": (
+        (2.0, 4.0),
+        lambda pi: (-2.0 * pi, 2.0 * pi),
+        lambda s, c: 2.0 * s * c / (1.0 + s**4),
+    ),
+    "dbl-3:2-3": (
+        (1.5, 3.0),
+        lambda pi: (0.0, 0.25 * pi),
+        lambda s, c: (
+            s
+            * (1.0 + fractional_power(c, 1.5))
+            / (fractional_power(c, 0.5) * (1.0 + s**3))
+        ),
+    ),
+    "dbl-4:3-4": (
+        (4.0 / 3.0, 4.0),
+        lambda pi: (0.0, 0.25 * pi),
+        lambda s, c: (
+            2.0
+            * s
+            * fractional_power(c, 1.0 / 3.0)
+            / math.sqrt(1.0 + 4.0 * s**4 * fractional_power(c, 4.0 / 3.0))
+        ),
+    ),
+    "dbl-2-3": (
+        (2.0, 3.0),
+        lambda pi: (0.0, 0.5 * pi),
+        lambda s, c: 4.0 * s * c * (3.0 + c) ** 3 / ((1.0 + c) * (8.0 + s**3) ** 2),
+    ),
+    "dbl-4:3-2": (
+        (4.0 / 3.0, 2.0),
+        lambda pi: (0.0, 0.5 * pi),
+        lambda s, c: (
+            4.0
+            * s
+            * fractional_power(c, 1.0 / 3.0)
+            * (1.0 + fractional_power(c, 4.0 / 3.0))
+            / (2.0 * fractional_power(c, 2.0 / 3.0) + s**2) ** 2
+        ),
+    ),
+}
+
+
+def _double_angle(identity_id: str, config: EvalConfig) -> IdentitySpec:
+    (p, q), domain, rhs = _DOUBLE_ANGLES[identity_id]
+    pp = ParamPair(p, q)
+
+    def sides(x: float) -> tuple[float, float]:
+        return sin_pq(pp, 2.0 * x, config).value, rhs(*sin_cos(pp, x, config))
+
+    return IdentitySpec(identity_id, pp, domain(pi_pq(pp, config)), sides)
 
 
 def _pythagorean(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
     span = 3.0 * pi_pq(pp, config)
 
-    def lhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         s, c = sin_cos(pp, x, config)
-        return abs(c) ** pp.p + abs(s) ** pp.q
+        return abs(c) ** pp.p + abs(s) ** pp.q, 1.0
 
-    return IdentitySpec("pythagorean", pp, (-span, span), ((lhs, lambda x: 1.0),))
-
-
-def _dbl_2_2(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(2.0, 2.0)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        s, c = sin_cos(pp, x, config)
-        return 2.0 * s * c
-
-    return IdentitySpec("dbl-2-2", pp, (-10.0, 10.0), ((lhs, rhs),))
-
-
-def _dbl_2_4(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(2.0, 4.0)
-    span = 2.0 * pi_pq(pp, config)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        s, c = sin_cos(pp, x, config)
-        return 2.0 * s * c / (1.0 + s**4)
-
-    return IdentitySpec("dbl-2-4", pp, (-span, span), ((lhs, rhs),))
-
-
-def _dbl_32_3(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(1.5, 3.0)
-    quarter = 0.25 * pi_pq(pp, config)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        s, c = sin_cos(pp, x, config)
-        return (
-            s
-            * (1.0 + fractional_power(c, 1.5))
-            / (fractional_power(c, 0.5) * (1.0 + s**3))
-        )
-
-    return IdentitySpec("dbl-3:2-3", pp, (0.0, quarter), ((lhs, rhs),))
-
-
-def _dbl_43_4(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(4.0 / 3.0, 4.0)
-    quarter = 0.25 * pi_pq(pp, config)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        s, c = sin_cos(pp, x, config)
-        return (
-            2.0
-            * s
-            * fractional_power(c, 1.0 / 3.0)
-            / math.sqrt(1.0 + 4.0 * s**4 * fractional_power(c, 4.0 / 3.0))
-        )
-
-    return IdentitySpec("dbl-4:3-4", pp, (0.0, quarter), ((lhs, rhs),))
-
-
-def _dbl_2_3(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(2.0, 3.0)
-    half = 0.5 * pi_pq(pp, config)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        return _dbl_rhs_2_3(*sin_cos(pp, x, config))
-
-    return IdentitySpec("dbl-2-3", pp, (0.0, half), ((lhs, rhs),))
-
-
-def _dbl_43_2(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(4.0 / 3.0, 2.0)
-    half = 0.5 * pi_pq(pp, config)
-
-    def lhs(x: float) -> float:
-        return sin_pq(pp, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
-        return _dbl_rhs_43_2(*sin_cos(pp, x, config))
-
-    return IdentitySpec("dbl-4:3-2", pp, (0.0, half), ((lhs, rhs),))
+    return IdentitySpec("pythagorean", pp, (-span, span), sides)
 
 
 def _maf_pairs(p: float) -> tuple[ParamPair, ParamPair, float]:
@@ -284,14 +233,14 @@ def _maf_sin(p: float, config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(inner, config)
     pstar = inner.p
 
-    def lhs(x: float) -> float:
-        return sin_pq(outer, k * x, config).value
-
-    def rhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         s, c = sin_cos(inner, x, config)
-        return k * s * fractional_power(c, pstar - 1.0)
+        return (
+            sin_pq(outer, k * x, config).value,
+            k * s * fractional_power(c, pstar - 1.0),
+        )
 
-    return IdentitySpec("maf-sin", inner, (0.0, half), ((lhs, rhs),))
+    return IdentitySpec("maf-sin", inner, (0.0, half), sides)
 
 
 def _maf_cos(p: float, config: EvalConfig) -> IdentitySpec:
@@ -299,27 +248,14 @@ def _maf_cos(p: float, config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(inner, config)
     pstar = inner.p
 
-    def outer_cos(x: float) -> float:
-        _, c = sin_cos(outer, k * x, config)
-        return c
-
-    def diff_form(x: float) -> float:
+    def sides(x: float) -> tuple[float, float, float, float]:
+        _, outer_cos = sin_cos(outer, k * x, config)
         s, c = sin_cos(inner, x, config)
-        return fractional_power(c, pstar) - fractional_power(s, p)
-
-    def sin_form(x: float) -> float:
-        s, _ = sin_cos(inner, x, config)
-        return 1.0 - 2.0 * fractional_power(s, p)
-
-    def cos_form(x: float) -> float:
-        _, c = sin_cos(inner, x, config)
-        return 2.0 * fractional_power(c, pstar) - 1.0
+        cp, sp = fractional_power(c, pstar), fractional_power(s, p)
+        return outer_cos, cp - sp, 1.0 - 2.0 * sp, 2.0 * cp - 1.0
 
     return IdentitySpec(
-        "maf-cos",
-        inner,
-        (0.0, half),
-        ((outer_cos, diff_form), (diff_form, sin_form), (sin_form, cos_form)),
+        "maf-cos", inner, (0.0, half), sides, comparisons=((0, 1), (1, 2), (2, 3))
     )
 
 
@@ -327,11 +263,8 @@ def _half_sin(p: float, config: EvalConfig) -> IdentitySpec:
     inner, outer, k = _maf_pairs(p)
     half = 0.5 * pi_pq(inner, config)
 
-    def lhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         s, _ = sin_cos(inner, x, config)
-        return s
-
-    def rhs(x: float) -> float:
         s2, c2 = sin_cos(outer, k * x, config)
         if c2 > 0.5:
             # same quantity as (1 - c2), written through |c|**2 = 1 - s**p so
@@ -339,9 +272,9 @@ def _half_sin(p: float, config: EvalConfig) -> IdentitySpec:
             u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
         else:
             u = 1.0 - c2
-        return fractional_power(0.5 * u, 1.0 / p)
+        return s, fractional_power(0.5 * u, 1.0 / p)
 
-    return IdentitySpec("half-sin", inner, (0.0, half), ((lhs, rhs),))
+    return IdentitySpec("half-sin", inner, (0.0, half), sides)
 
 
 def _half_cos(p: float, config: EvalConfig) -> IdentitySpec:
@@ -349,37 +282,27 @@ def _half_cos(p: float, config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(inner, config)
     pstar = inner.p
 
-    def lhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         _, c = sin_cos(inner, x, config)
-        return c
-
-    def rhs(x: float) -> float:
         s2, c2 = sin_cos(outer, k * x, config)
         if c2 < -0.5:
             # 1 + c2 with c2 = -(1 - s2**p)**(1/2), cancellation-free
             u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
         else:
             u = 1.0 + c2
-        return fractional_power(0.5 * u, 1.0 / pstar)
+        return c, fractional_power(0.5 * u, 1.0 / pstar)
 
     # x and 2**(2/p) x cannot both be float-exact at the quarter period, and
     # for p < 2 both sides behave like (half - x)**(p-1) there, so the ulp of
     # argument coupling inflates sublinearly; stay a hair inside the endpoint.
     return IdentitySpec(
-        "half-cos", inner, (0.0, half), ((lhs, rhs),), closed_hi=False, inset=1e-9
+        "half-cos", inner, (0.0, half), sides, closed_hi=False, inset=1e-9
     )
 
 
 def _duality_pi(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
-    dual = pp.dual()
-    lhs_value = pp.q * pi_pq(pp, config)
-    rhs_value = pp.p_star * pi_pq(dual, config)
-    return IdentitySpec(
-        "duality-pi",
-        pp,
-        (0.0, 1.0),
-        ((lambda x: lhs_value, lambda x: rhs_value),),
-    )
+    values = (pp.q * pi_pq(pp, config), pp.p_star * pi_pq(pp.dual(), config))
+    return IdentitySpec("duality-pi", pp, (0.0, 1.0), lambda x: values)
 
 
 def _duality_sin(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
@@ -388,29 +311,26 @@ def _duality_sin(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
     half_dual = 0.5 * pi_pq(dual, config)
     expo = pp.q_star - 1.0
 
-    def lhs(x: float) -> float:
-        return sin_pq(pp, half * x, config).value
-
-    def rhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         _, c = sin_cos(dual, half_dual * (1.0 - x), config)
-        return fractional_power(c, expo)
+        return sin_pq(pp, half * x, config).value, fractional_power(c, expo)
 
-    return IdentitySpec("duality-sin", pp, (0.0, 2.0), ((lhs, rhs),))
+    return IdentitySpec("duality-sin", pp, (0.0, 2.0), sides)
 
 
 def _lemniscate_add(config: EvalConfig) -> IdentitySpec:
     pp = ParamPair(2.0, 4.0)
     half = 0.5 * pi_pq(pp, config)
 
-    def lhs(u: float, v: float) -> float:
-        return sin_pq(pp, u + v, config).value
-
-    def rhs(u: float, v: float) -> float:
+    def sides(u: float, v: float) -> tuple[float, float]:
         su, cu = sin_cos(pp, u, config)
         sv, cv = sin_cos(pp, v, config)
-        return (su * cv + cu * sv) / (1.0 + su**2 * sv**2)
+        return (
+            sin_pq(pp, u + v, config).value,
+            (su * cv + cu * sv) / (1.0 + su**2 * sv**2),
+        )
 
-    return IdentitySpec("lemniscate-add", pp, (0.0, half), ((lhs, rhs),), arity=2)
+    return IdentitySpec("lemniscate-add", pp, (0.0, half), sides, arity=2)
 
 
 def _proof_xtoy(config: EvalConfig) -> IdentitySpec:
@@ -419,14 +339,11 @@ def _proof_xtoy(config: EvalConfig) -> IdentitySpec:
     quarter = 0.25 * pi_pq(pp323, config)
     k = 2.0 ** (2.0 / 3.0)
 
-    def lhs(y: float) -> float:
-        return sin_pq(pp23, k * 2.0 * y, config).value
-
-    def rhs(y: float) -> float:
+    def sides(y: float) -> tuple[float, float]:
         s, c = sin_cos(pp323, 2.0 * y, config)
-        return k * s * fractional_power(c, 0.5)
+        return sin_pq(pp23, k * 2.0 * y, config).value, k * s * fractional_power(c, 0.5)
 
-    return IdentitySpec("proof-xtoy", pp23, (0.0, quarter), ((lhs, rhs),))
+    return IdentitySpec("proof-xtoy", pp23, (0.0, quarter), sides)
 
 
 def _proof_sin2x(config: EvalConfig) -> IdentitySpec:
@@ -434,14 +351,11 @@ def _proof_sin2x(config: EvalConfig) -> IdentitySpec:
     pp24 = ParamPair(2.0, 4.0)
     pi24 = pi_pq(pp24, config)
 
-    def lhs(x: float) -> float:
-        return sin_pq(pp432, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         s = sin_pq(pp24, 0.5 * pi24 - x, config).value
-        return fractional_power(1.0 - s**4, 0.5)
+        return sin_pq(pp432, 2.0 * x, config).value, fractional_power(1.0 - s**4, 0.5)
 
-    return IdentitySpec("proof-sin2x", pp432, (0.0, pi24), ((lhs, rhs),))
+    return IdentitySpec("proof-sin2x", pp432, (0.0, pi24), sides)
 
 
 def _proof_f2x(config: EvalConfig) -> IdentitySpec:
@@ -449,20 +363,12 @@ def _proof_f2x(config: EvalConfig) -> IdentitySpec:
     pp24 = ParamPair(2.0, 4.0)
     pi24 = pi_pq(pp24, config)
 
-    def lhs(x: float) -> float:
-        return sin_pq(pp432, 2.0 * x, config).value
-
-    def rhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         g = sin_pq(pp24, x, config).value
-        return 2.0 * g / (1.0 + g**2)
+        return sin_pq(pp432, 2.0 * x, config).value, 2.0 * g / (1.0 + g**2)
 
     return IdentitySpec(
-        "proof-f2x",
-        pp432,
-        (0.0, pi24),
-        ((lhs, rhs),),
-        closed_lo=False,
-        closed_hi=False,
+        "proof-f2x", pp432, (0.0, pi24), sides, closed_lo=False, closed_hi=False
     )
 
 
@@ -470,14 +376,14 @@ def _proof_gx(config: EvalConfig) -> IdentitySpec:
     pp24 = ParamPair(2.0, 4.0)
     half = 0.5 * pi_pq(pp24, config)
 
-    def lhs(x: float) -> float:
-        return sin_pq(pp24, x, config).value
-
-    def rhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float]:
         gh = sin_pq(pp24, 0.5 * x, config).value
-        return 2.0 * gh * fractional_power(1.0 - gh**4, 0.5) / (1.0 + gh**4)
+        return (
+            sin_pq(pp24, x, config).value,
+            2.0 * gh * fractional_power(1.0 - gh**4, 0.5) / (1.0 + gh**4),
+        )
 
-    return IdentitySpec("proof-gx", pp24, (0.0, half), ((lhs, rhs),))
+    return IdentitySpec("proof-gx", pp24, (0.0, half), sides)
 
 
 def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
@@ -485,21 +391,15 @@ def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
     pp24 = ParamPair(2.0, 4.0)
     half = 0.5 * pi_pq(pp24, config)
 
-    def plus_lhs(x: float) -> float:
+    def sides(x: float) -> tuple[float, float, float, float]:
         g = sin_pq(pp24, x, config).value
-        return 1.0 / g**2 + g**2
-
-    def plus_rhs(x: float) -> float:
         f = sin_pq(pp432, 2.0 * x, config).value
-        return 4.0 / f**2 - 2.0
-
-    def minus_lhs(x: float) -> float:
-        g = sin_pq(pp24, x, config).value
-        return 1.0 / g**2 - g**2
-
-    def minus_rhs(x: float) -> float:
-        f = sin_pq(pp432, 2.0 * x, config).value
-        return 4.0 / f * fractional_power(1.0 / f**2 - 1.0, 0.5)
+        return (
+            1.0 / g**2 + g**2,
+            4.0 / f**2 - 2.0,
+            1.0 / g**2 - g**2,
+            4.0 / f * fractional_power(1.0 / f**2 - 1.0, 0.5),
+        )
 
     # Both sides grow like x**-2 toward 0, and the difference form has an
     # infinite f-derivative where f(2x) -> 1 at the other end, so float
@@ -509,70 +409,38 @@ def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
         "proof-sum-diff",
         pp432,
         (0.0, half),
-        ((plus_lhs, plus_rhs), (minus_lhs, minus_rhs)),
+        sides,
+        comparisons=((0, 1), (2, 3)),
         closed_lo=False,
         closed_hi=False,
         inset=2e-2,
     )
 
 
-_PARAM_P_IDS = ("maf-sin", "maf-cos", "half-sin", "half-cos")
-_PARAM_PQ_IDS = ("pythagorean", "duality-pi", "duality-sin")
-
-_IDENTITY_IDS = (
-    "pythagorean",
-    "dbl-2-2",
-    "dbl-2-4",
-    "dbl-3:2-3",
-    "dbl-4:3-4",
-    "dbl-2-3",
-    "dbl-4:3-2",
-    "maf-sin",
-    "maf-cos",
-    "half-sin",
-    "half-cos",
-    "duality-pi",
-    "duality-sin",
-    "lemniscate-add",
-    "proof-xtoy",
-    "proof-sin2x",
-    "proof-f2x",
-    "proof-gx",
-    "proof-sum-diff",
-)
-
-_FIXED_BUILDERS = {
-    "dbl-2-2": _dbl_2_2,
-    "dbl-2-4": _dbl_2_4,
-    "dbl-3:2-3": _dbl_32_3,
-    "dbl-4:3-4": _dbl_43_4,
-    "dbl-2-3": _dbl_2_3,
-    "dbl-4:3-2": _dbl_43_2,
-    "lemniscate-add": _lemniscate_add,
-    "proof-xtoy": _proof_xtoy,
-    "proof-sin2x": _proof_sin2x,
-    "proof-f2x": _proof_f2x,
-    "proof-gx": _proof_gx,
-    "proof-sum-diff": _proof_sum_diff,
-}
-
-_P_BUILDERS = {
-    "maf-sin": _maf_sin,
-    "maf-cos": _maf_cos,
-    "half-sin": _half_sin,
-    "half-cos": _half_cos,
-}
-
-_PQ_BUILDERS = {
-    "pythagorean": _pythagorean,
-    "duality-pi": _duality_pi,
-    "duality-sin": _duality_sin,
+# id -> (what indexes its instances, builder), in catalog order.  Builders of
+# "p" entries take an exponent p, of "pq" entries a pair, and of the rest only
+# the config.
+_CATALOG: dict[str, tuple[Optional[str], Callable[..., IdentitySpec]]] = {
+    "pythagorean": ("pq", _pythagorean),
+    **{i: (None, partial(_double_angle, i)) for i in _DOUBLE_ANGLES},
+    "maf-sin": ("p", _maf_sin),
+    "maf-cos": ("p", _maf_cos),
+    "half-sin": ("p", _half_sin),
+    "half-cos": ("p", _half_cos),
+    "duality-pi": ("pq", _duality_pi),
+    "duality-sin": ("pq", _duality_sin),
+    "lemniscate-add": (None, _lemniscate_add),
+    "proof-xtoy": (None, _proof_xtoy),
+    "proof-sin2x": (None, _proof_sin2x),
+    "proof-f2x": (None, _proof_f2x),
+    "proof-gx": (None, _proof_gx),
+    "proof-sum-diff": (None, _proof_sum_diff),
 }
 
 
 def identity_ids() -> tuple[str, ...]:
     """The catalog vocabulary, in catalog order."""
-    return _IDENTITY_IDS
+    return tuple(_CATALOG)
 
 
 def identity_specs(
@@ -590,19 +458,18 @@ def identity_specs(
     (for the exponent-indexed families) or ``pp`` (for the pair-indexed ones)
     pins a single instance.
     """
-    if identity_id in _FIXED_BUILDERS:
-        return (_FIXED_BUILDERS[identity_id](config),)
-    if identity_id in _P_BUILDERS:
-        build = _P_BUILDERS[identity_id]
+    if identity_id not in _CATALOG:
+        raise UnknownIdentityError(identity_id)
+    index, build = _CATALOG[identity_id]
+    if index == "p":
         if p is not None:
             return (build(float(p), config),)
         return tuple(build(float(v), config) for v in p_panel)
-    if identity_id in _PQ_BUILDERS:
-        build = _PQ_BUILDERS[identity_id]
+    if index == "pq":
         if pp is not None:
             return (build(pp, config),)
         return tuple(build(ParamPair(a, b), config) for a, b in pq_panel)
-    raise UnknownIdentityError(identity_id)
+    return (build(config),)
 
 
 def eval_identity(
@@ -619,11 +486,12 @@ def eval_identity(
     For parameterized identities the instance defaults to p = 3 (exponent
     families) or the pair (2, 3); pass ``p`` or ``pp`` to choose another.
     """
-    if identity_id not in _IDENTITY_IDS:
+    if identity_id not in _CATALOG:
         raise UnknownIdentityError(identity_id)
-    if identity_id in _P_BUILDERS and p is None:
+    index = _CATALOG[identity_id][0]
+    if index == "p" and p is None:
         p = 3.0
-    if identity_id in _PQ_BUILDERS and pp is None:
+    if index == "pq" and pp is None:
         pp = ParamPair(2.0, 3.0)
     spec = identity_specs(identity_id, p=p, pp=pp, config=config)[0]
 
@@ -644,7 +512,9 @@ def eval_identity(
         if not inside:
             raise DomainError(f"x={x!r} outside domain ({lo!r}, {hi!r})")
         args = (x,)
-    return float(spec.lhs(*args)), float(spec.rhs(*args))
+    values = spec.sides(*args)
+    i, j = spec.comparisons[0]
+    return float(values[i]), float(values[j])
 
 
 def _sample_points(spec: IdentitySpec, samples: int, seed: int) -> np.ndarray:
@@ -688,22 +558,12 @@ def _sweep(
     note: Optional[str] = None
     for row in points:
         args = tuple(float(v) for v in row)
-        cache: dict[int, float] = {}
+        values = [float(v) for v in spec.sides(*args)]
+        lhs_val = values[spec.comparisons[0][0]]
         err = 0.0
-        lhs_val = math.nan
         finite = True
-        for k, (lf, rf) in enumerate(spec.comparisons):
-            lv = cache.get(id(lf))
-            if lv is None:
-                lv = float(lf(*args))
-                cache[id(lf)] = lv
-            rv = cache.get(id(rf))
-            if rv is None:
-                rv = float(rf(*args))
-                cache[id(rf)] = rv
-            rv = rv + rhs_offset
-            if k == 0:
-                lhs_val = lv
+        for i, j in spec.comparisons:
+            lv, rv = values[i], values[j] + rhs_offset
             if not (math.isfinite(lv) and math.isfinite(rv)):
                 finite = False
                 break

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gtrig
 from gtrig.cli import cli
 from gtrig.functions import ParamPair, sin_pq
 
@@ -209,10 +212,14 @@ class TestVerify:
 
 
 def test_module_entry_point():
+    # the subprocess imports the same gtrig as this process, installed or not
+    src = str(Path(gtrig.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gtrig.cli", "pi", "--p", "2", "--q", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3.1415926535897931"

@@ -1,6 +1,7 @@
 """Tests for the generalized sine/cosine family and its extension rules."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtrig.errors import DomainError
+from gtrig.errors import DomainError, NonFiniteIntegrandError
 from gtrig.functions import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -103,6 +104,24 @@ class TestPi:
         first = pi_pq(PP23)
         assert pi_pq(PP23) == first
         assert pi_pq(ParamPair(2.0, 3.0)) == first
+
+    @pytest.mark.parametrize("p", [1.001, 1.02, 1.04])
+    def test_p_near_one_raises_typed_error_under_warnings_as_errors(self, p):
+        # the integrand overflows at subnormal offsets for these p; the caller
+        # must get the typed error, not numpy's overflow warning
+        pp = ParamPair(p, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrandError):
+                pi_pq(pp)
+            with pytest.raises(NonFiniteIntegrandError):
+                sin_pq(pp, 0.5)
+
+    def test_p_just_above_the_overflow_still_evaluates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pi_pq(ParamPair(1.043, 2.0))
+        assert value == pytest.approx(25.6148371329, rel=1e-10)
 
 
 class TestArcsin:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gtrig import identities
 from gtrig.errors import DomainError, UnknownIdentityError
 from gtrig.functions import ParamPair, cos_pq, pi_pq, sin_pq
 from gtrig.identities import (
@@ -148,11 +149,9 @@ class TestEvalIdentity:
         spec = identity_specs("maf-cos", p=3.0)[0]
         assert len(spec.comparisons) == 3
         for x in np.linspace(0.0, spec.domain[1], 25):
-            values = []
-            for lf, rf in spec.comparisons:
-                values.append((lf(float(x)), rf(float(x))))
-            for lv, rv in values:
-                assert abs(lv - rv) <= 1e-9
+            values = spec.sides(float(x))
+            for i, j in spec.comparisons:
+                assert abs(values[i] - values[j]) <= 1e-9
 
 
 class TestVerifyEngine:
@@ -215,6 +214,29 @@ class TestVerifyEngine:
     def test_relative_error_reported_when_meaningful(self):
         rep = verify("pythagorean", samples=50, tol=1e-9, seed=1)
         assert rep.rel_err is not None and rep.rel_err <= 1e-9
+
+
+class TestInversionsPerPoint:
+    """Each function value a sweep point needs is computed once."""
+
+    EXPECTED = {"pythagorean": 1, "duality-pi": 0, "lemniscate-add": 3}
+
+    @pytest.mark.parametrize("identity_id", VOCABULARY)
+    def test_inversions_per_point(self, identity_id, monkeypatch):
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(identities, "sin_cos", counted(identities.sin_cos))
+        monkeypatch.setattr(identities, "sin_pq", counted(identities.sin_pq))
+        rep = verify(identity_id, samples=20)
+        assert calls == self.EXPECTED.get(identity_id, 2) * rep.samples
 
 
 class TestCatalogPasses:

@@ -21,6 +21,7 @@ fraction; pi_pq alone is integrated by quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +44,9 @@ __all__ = [
     "fractional_power",
 ]
 
-# Exponents this close to 1 (or huge) make the endpoint singularity exponent
-# -1/p approach -1 and the quadrature conditioning collapse; reject instead of
-# silently losing precision.
+# ParamPair accepts any exponent above 1.  Near 1 the endpoint singularity
+# exponent -1/p approaches -1: for p up to about 1.043 the pi_pq integrand
+# overflows at subnormal offsets and pi_pq raises NonFiniteIntegrandError.
 _P_MIN = 1.0
 _P_MAX = 1000.0
 
@@ -116,11 +117,6 @@ class FunctionValue:
         return self.value
 
 
-# Write-once concurrent maps; racing first computations of a key is benign
-# because both compute identical values.
-_PI_CACHE: dict[tuple[float, float, float], float] = {}
-_TABLE_CACHE: dict[tuple[float, float, float], tuple[np.ndarray, ...]] = {}
-
 _TABLE_SIZE = 33
 
 
@@ -162,46 +158,39 @@ def _arc_tail(p: float, q: float, v: float, half_pi: float) -> float:
     return half_pi - incomplete_beta(a, b, math.exp(q_ln_u), (1.0 - v) * y**b) / q
 
 
-def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """The generalized circle constant pi_pq = 2 F(1), cached per (p, q).
+@functools.lru_cache(maxsize=256)
+def _pair_record(
+    p: float, q: float, quad_tol: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """What evaluations need per pair: (pi_pq/2, grid, f_grid, h_grid).
 
-    It is integrated by tanh-sinh quadrature, independently of the incomplete
-    Beta fraction that gives F below 1, in the reflected variable
-    u = 1 - t, which puts the singularity at a zero lower endpoint.
+    pi_pq/2 = F(1) is integrated by tanh-sinh quadrature, independently of
+    the incomplete Beta fraction that gives F below 1, in the reflected
+    variable u = 1 - t, which puts the singularity at a zero lower endpoint.
+    f_grid holds F at the grid nodes and h_grid the tail at v = node**p_star:
+    coarse monotone tables that only seed tight root brackets (the solves stay
+    exact to tolerance).  The cache is bounded so that memory stays flat over
+    many pairs; a pair pushed out is recomputed to the same values.
     """
-    key = (pp.p, pp.q, config.quad_tol)
-    value = _PI_CACHE.get(key)
-    if value is None:
-        q, inv_p = pp.q, -1.0 / pp.p
+    inv_p = -1.0 / p
 
-        def f(u: np.ndarray) -> np.ndarray:
-            return np.power(-np.expm1(q * np.log1p(-u)), inv_p)
+    def f(u: np.ndarray) -> np.ndarray:
+        return np.power(-np.expm1(q * np.log1p(-u)), inv_p)
 
-        # near p = 1 the integrand overflows; the quadrature's non-finite
-        # check then raises a typed error, not a numpy warning
-        with np.errstate(over="ignore"):
-            result = integrate_endpoint_singular(f, 0.0, 1.0, config.quad_tol)
-        value = 2.0 * result.value
-        _PI_CACHE[key] = value
-    return value
+    # near p = 1 the integrand overflows; the quadrature's non-finite
+    # check then raises a typed error, not a numpy warning
+    with np.errstate(over="ignore"):
+        half_pi = integrate_endpoint_singular(f, 0.0, 1.0, quad_tol).value
+    pstar = p / (p - 1.0)
+    grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
+    f_grid = np.array([_arc_integral(p, q, s, half_pi) for s in grid])
+    h_grid = np.array([_arc_tail(p, q, w**pstar, half_pi) for w in grid])
+    return half_pi, grid, f_grid, h_grid
 
 
-def _lookup_tables(pp: ParamPair, config: EvalConfig) -> tuple[np.ndarray, ...]:
-    """Coarse monotone tables of F and of the tail integral, used only to
-    seed tight root brackets (the solves below stay exact to tolerance)."""
-    key = (pp.p, pp.q, config.quad_tol)
-    tables = _TABLE_CACHE.get(key)
-    if tables is not None:
-        return tables
-    p, q, pstar = pp.p, pp.q, pp.p_star
-    half_pi = 0.5 * pi_pq(pp, config)
-    s_grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
-    f_grid = np.array([_arc_integral(p, q, s, half_pi) for s in s_grid])
-    w_grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
-    h_grid = np.array([_arc_tail(p, q, w**pstar, half_pi) for w in w_grid])
-    tables = (s_grid, f_grid, w_grid, h_grid)
-    _TABLE_CACHE[key] = tables
-    return tables
+def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
+    """The generalized circle constant pi_pq = 2 F(1), cached per (p, q)."""
+    return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
 
 
 def _bracket(
@@ -214,7 +203,7 @@ def _bracket(
 
 
 def _solve_reduced(
-    pp: ParamPair, r: float, half_pi: float, config: EvalConfig
+    pp: ParamPair, r: float, record: tuple, config: EvalConfig
 ) -> tuple[float, float]:
     """Invert F on the reduced interval: return (s, 1 - s) with F(s) = r.
 
@@ -226,11 +215,11 @@ def _solve_reduced(
     relative accuracy.
     """
     p, q = pp.p, pp.q
+    half_pi, grid, f_grid, h_grid = record
     if r <= 0.0:
         return 0.0, 1.0
     if r >= half_pi:
         return 1.0, 0.0
-    s_grid, f_grid, w_grid, h_grid = _lookup_tables(pp, config)
 
     if r <= 0.5 * half_pi:
         tol = config.root_tol * min(1.0, r)
@@ -242,7 +231,7 @@ def _solve_reduced(
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-        lo, hi, v_lo, v_hi = _bracket(s_grid, f_grid, r)
+        lo, hi, v_lo, v_hi = _bracket(grid, f_grid, r)
         s = solve_increasing(
             f, lo, hi, r, deriv=df, tol=tol, max_iter=config.max_iter,
             f_lo=v_lo, f_hi=v_hi,
@@ -265,7 +254,7 @@ def _solve_reduced(
             return math.inf
         return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
 
-    lo, hi, v_lo, v_hi = _bracket(w_grid, h_grid, delta)
+    lo, hi, v_lo, v_hi = _bracket(grid, h_grid, delta)
     w = solve_increasing(
         fw, lo, hi, delta, deriv=dfw, tol=tol, max_iter=config.max_iter,
         f_lo=v_lo, f_hi=v_hi,
@@ -274,11 +263,12 @@ def _solve_reduced(
     return 1.0 - v, v
 
 
-def _reduce(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float]:
-    """Fold x into (quadrant, reduced argument in [0, pi_pq/2], pi_pq/2)."""
+def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
+    """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
-    half_pi = 0.5 * pi_pq(pp, config)
+    record = _pair_record(pp.p, pp.q, config.quad_tol)
+    half_pi = record[0]
     period = 4.0 * half_pi
     y = math.fmod(x, period)
     if y < 0.0:
@@ -295,7 +285,8 @@ def _reduce(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, fl
     else:
         r = 4.0 * half_pi - y
     r = min(max(r, 0.0), half_pi)
-    return quadrant, r, half_pi
+    s, one_minus_s = _solve_reduced(pp, r, record, config)
+    return quadrant, r, s, one_minus_s
 
 
 _CLAMP_THRESHOLD = -1e-15
@@ -317,23 +308,28 @@ def fractional_power(base: float, exponent: float) -> float:
     return base**exponent
 
 
-def _cos_magnitude(pp: ParamPair, s: float, one_minus_s: float) -> float:
-    """(1 - s**q)**(1/p) with the base formed cancellation-free from 1 - s."""
+def _signed_sin(quadrant: int, s: float) -> float:
+    """The sine from |sin| = s: negative on quadrants 2 and 3, never -0.0."""
+    value = s if quadrant < 2 else -s
+    return value if value != 0.0 else 0.0
+
+
+def _signed_cos(pp: ParamPair, quadrant: int, s: float, one_minus_s: float) -> float:
+    """The cosine from |sin| = s, its base 1 - s**q formed cancellation-free
+    from 1 - s; positive on quadrants 0 and 3, and never -0.0."""
     if s <= 0.5:
         base = 1.0 - s**pp.q
     else:
         base = -math.expm1(pp.q * math.log1p(-one_minus_s))
-    return fractional_power(base, 1.0 / pp.p)
+    magnitude = fractional_power(base, 1.0 / pp.p)
+    value = magnitude if quadrant in (0, 3) else -magnitude
+    return value if value != 0.0 else 0.0
 
 
 def sin_pq(pp: ParamPair, x: float, config: EvalConfig = DEFAULT_CONFIG) -> FunctionValue:
     """The generalized sine at any real x."""
-    quadrant, r, half_pi = _reduce(pp, x, config)
-    s, _ = _solve_reduced(pp, r, half_pi, config)
-    value = s if quadrant < 2 else -s
-    if value == 0.0:
-        value = 0.0  # never report -0.0
-    return FunctionValue(value, quadrant, r)
+    quadrant, r, s, _ = _evaluate(pp, x, config)
+    return FunctionValue(_signed_sin(quadrant, s), quadrant, r)
 
 
 def cos_pq(pp: ParamPair, x: float, config: EvalConfig = DEFAULT_CONFIG) -> FunctionValue:
@@ -343,26 +339,16 @@ def cos_pq(pp: ParamPair, x: float, config: EvalConfig = DEFAULT_CONFIG) -> Func
     extended sine's slope: positive on quadrants 0 and 3, negative on 1 and 2.
     At the quarter period the value is +0.0.
     """
-    quadrant, r, half_pi = _reduce(pp, x, config)
-    s, one_minus_s = _solve_reduced(pp, r, half_pi, config)
-    magnitude = _cos_magnitude(pp, s, one_minus_s)
-    value = magnitude if quadrant in (0, 3) else -magnitude
-    if value == 0.0:
-        value = 0.0  # +0.0 at the quarter period regardless of quadrant sign
-    return FunctionValue(value, quadrant, r)
+    quadrant, r, s, one_minus_s = _evaluate(pp, x, config)
+    return FunctionValue(_signed_cos(pp, quadrant, s, one_minus_s), quadrant, r)
 
 
 def sin_cos(
     pp: ParamPair, x: float, config: EvalConfig = DEFAULT_CONFIG
 ) -> tuple[float, float]:
     """Both function values from a single inversion (identity sweeps hit this)."""
-    quadrant, r, half_pi = _reduce(pp, x, config)
-    s, one_minus_s = _solve_reduced(pp, r, half_pi, config)
-    sv = s if quadrant < 2 else -s
-    magnitude = _cos_magnitude(pp, s, one_minus_s)
-    cv = magnitude if quadrant in (0, 3) else -magnitude
-    # fold -0.0 to +0.0, matching sin_pq / cos_pq
-    return (sv if sv != 0.0 else 0.0, cv if cv != 0.0 else 0.0)
+    quadrant, _, s, one_minus_s = _evaluate(pp, x, config)
+    return _signed_sin(quadrant, s), _signed_cos(pp, quadrant, s, one_minus_s)
 
 
 def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> float:

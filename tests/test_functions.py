@@ -17,6 +17,7 @@ from gtrig.functions import (
     ParamPair,
     _arc_integral,
     _arc_tail,
+    _pair_record,
     arcsin_pq,
     cos_pq,
     fractional_power,
@@ -384,6 +385,23 @@ class TestOdeResidual:
             ode_residual(PP23, half - 5e-4, 1e-4)
         with pytest.raises(DomainError):
             ode_residual(PP23, 0.5, -1e-4)
+
+
+class TestPairCache:
+    def test_bounded_and_recomputed_bit_identically(self):
+        info = _pair_record.cache_info
+        rng = np.random.default_rng(6)
+        logs = rng.uniform(math.log(1.05), math.log(1000.0), size=(info().maxsize + 8, 2))
+        pairs = [ParamPair(*np.exp(row).tolist()) for row in logs]
+        first = pairs[0]
+        before = (pi_pq(first), sin_cos(first, 1.3), sin_cos(first, -7.9))
+        for pp in pairs[1:]:
+            sin_cos(pp, 0.5)
+        assert info().currsize <= info().maxsize
+        misses = info().misses
+        after = (pi_pq(first), sin_cos(first, 1.3), sin_cos(first, -7.9))
+        assert info().misses == misses + 1  # the first pair was pushed out
+        assert after == before
 
 
 class TestConcurrency:

@@ -223,6 +223,10 @@ def _solve_reduced(
 
     if r <= 0.5 * half_pi:
         tol = config.root_tol * min(1.0, r)
+        if tol == 0.0 and r < 1e-16:
+            # r * root_tol underflowed; below 1e-16 the first correction term of
+            # F(s) = s + s**(q+1)/(p(q+1)) + ... is under half an ulp of s
+            return r, 1.0 - r
 
         def f(s: float) -> float:
             return _arc_integral(p, q, s, half_pi)
@@ -276,14 +280,8 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
     if y >= period:  # rounding of the addition above
         y = 0.0
     quadrant = min(3, int(y / half_pi))
-    if quadrant == 0:
-        r = y
-    elif quadrant == 1:
-        r = 2.0 * half_pi - y
-    elif quadrant == 2:
-        r = y - 2.0 * half_pi
-    else:
-        r = 4.0 * half_pi - y
+    # odd quadrants run down from the next quarter-period point, even ones up
+    r = (quadrant + 1) * half_pi - y if quadrant % 2 else y - quadrant * half_pi
     r = min(max(r, 0.0), half_pi)
     s, one_minus_s = _solve_reduced(pp, r, record, config)
     return quadrant, r, s, one_minus_s

@@ -486,14 +486,9 @@ def eval_identity(
     For parameterized identities the instance defaults to p = 3 (exponent
     families) or the pair (2, 3); pass ``p`` or ``pp`` to choose another.
     """
-    if identity_id not in _CATALOG:
-        raise UnknownIdentityError(identity_id)
-    index = _CATALOG[identity_id][0]
-    if index == "p" and p is None:
-        p = 3.0
-    if index == "pq" and pp is None:
-        pp = ParamPair(2.0, 3.0)
-    spec = identity_specs(identity_id, p=p, pp=pp, config=config)[0]
+    spec = identity_specs(
+        identity_id, p=p, pp=pp, p_panel=(3.0,), pq_panel=((2.0, 3.0),), config=config
+    )[0]
 
     lo, hi = spec.domain
     args: tuple[float, ...]
@@ -538,50 +533,6 @@ def _sample_points(spec: IdentitySpec, samples: int, seed: int) -> np.ndarray:
     return pts[pts.sum(axis=1) <= hi_eff]
 
 
-def _sweep(
-    spec: IdentitySpec,
-    samples: int,
-    seed: int,
-    rhs_offset: float,
-) -> tuple[int, float, float, Optional[float], float, Optional[str]]:
-    """Evaluate every comparison at every sample point.
-
-    Returns (count, max_err, argmax_x, argmax_y, lhs_at_argmax, note).  The
-    running maximum is reduced lexicographically on (err, x) so the result
-    does not depend on evaluation order.
-    """
-    points = _sample_points(spec, samples, seed)
-    best_err = -math.inf
-    best_x = math.nan
-    best_y: Optional[float] = None
-    best_lhs = math.nan
-    note: Optional[str] = None
-    for row in points:
-        args = tuple(float(v) for v in row)
-        values = [float(v) for v in spec.sides(*args)]
-        lhs_val = values[spec.comparisons[0][0]]
-        err = 0.0
-        finite = True
-        for i, j in spec.comparisons:
-            lv, rv = values[i], values[j] + rhs_offset
-            if not (math.isfinite(lv) and math.isfinite(rv)):
-                finite = False
-                break
-            err = max(err, abs(lv - rv))
-        if not finite:
-            if note is None:
-                note = f"non-finite value at {args!r}"
-            best_err, best_x, best_lhs = math.inf, args[0], math.nan
-            best_y = args[1] if spec.arity == 2 else None
-            continue
-        if err > best_err or (err == best_err and args[0] > best_x):
-            best_err = err
-            best_x = args[0]
-            best_y = args[1] if spec.arity == 2 else None
-            best_lhs = lhs_val
-    return len(points), best_err, best_x, best_y, best_lhs, note
-
-
 def verify(
     identity_id: str,
     samples: int = 1000,
@@ -596,9 +547,12 @@ def verify(
     """Sweep an identity over a uniform grid plus seeded random points and
     report the worst absolute deviation.
 
-    Parameterized identities sweep every panel instance and aggregate.
-    ``rhs_offset`` perturbs every right side by a constant; it exists so the
-    engine's sensitivity is itself testable.
+    Parameterized identities sweep every panel instance in one pass.  The
+    worst point is the maximum of (err, x) in lexicographic order, so it does
+    not depend on evaluation order; a point where a compared side is not
+    finite counts as err = inf like any other, and ``note`` names the first
+    such point.  ``rhs_offset`` perturbs every right side by a constant; it
+    exists so the engine's sensitivity is itself testable.
     """
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
@@ -615,12 +569,24 @@ def verify(
     best_lhs = math.nan
     note: Optional[str] = None
     for spec in specs:
-        count, err, x, yv, lhs_val, spec_note = _sweep(spec, samples, seed, rhs_offset)
-        total += count
-        if spec_note is not None and note is None:
-            note = spec_note
-        if err > best_err or (err == best_err and x > best_x):
-            best_err, best_x, best_y, best_lhs = err, x, yv, lhs_val
+        points = _sample_points(spec, samples, seed)
+        total += len(points)
+        for row in points:
+            args = tuple(float(v) for v in row)
+            values = [float(v) for v in spec.sides(*args)]
+            err = 0.0
+            for i, j in spec.comparisons:
+                lv, rv = values[i], values[j] + rhs_offset
+                if not (math.isfinite(lv) and math.isfinite(rv)):
+                    err = math.inf
+                    if note is None:
+                        note = f"non-finite value at {args!r}"
+                    break
+                err = max(err, abs(lv - rv))
+            if err > best_err or (err == best_err and args[0] > best_x):
+                best_err, best_x = err, args[0]
+                best_y = args[1] if spec.arity == 2 else None
+                best_lhs = values[spec.comparisons[0][0]]
     elapsed = time.perf_counter() - start
     passed = math.isfinite(best_err) and best_err <= tol and note is None
     rel = (

@@ -8,6 +8,7 @@ trigonometry produce.  Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,15 +39,11 @@ _EPS = 2.0 ** -52
 _U_MAX = 6.2
 _MAX_LEVEL = 11
 
-# level -> (offsets 1-|x_k| for k >= 1, weights) with the k = 0 node handled
-# separately (offset exactly 1, weight pi/2).
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _NODE_CACHE.get(level)
-    if cached is not None:
-        return cached
+    """(offsets 1-|x_k| for k >= 1, weights) at one level; the k = 0 node is
+    handled separately (offset exactly 1, weight pi/2)."""
     h = 2.0 ** (-level)
     u = np.arange(1, int(_U_MAX / h) + 1, dtype=float) * h
     s = 0.5 * math.pi * np.sinh(u)
@@ -56,9 +53,7 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = 2.0 * em / (1.0 + em)
     weights = 0.5 * math.pi * np.cosh(u) * 4.0 * em / (1.0 + em) ** 2
     keep = (offsets > 0.0) & (weights > 0.0)
-    result = (offsets[keep], weights[keep])
-    _NODE_CACHE[level] = result
-    return result
+    return offsets[keep], weights[keep]
 
 
 @dataclass(frozen=True)

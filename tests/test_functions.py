@@ -257,6 +257,17 @@ class TestSin:
         with pytest.raises(DomainError):
             sin_pq(PP23, math.inf)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 2e-311])
+    @pytest.mark.parametrize(
+        "p, q", [(2.0, 2.0), (2.0, 3.0), (1.05, 1000.0), (1000.0, 1.05)]
+    )
+    def test_tiny_argument_is_its_own_sine(self, p, q, x):
+        # root_tol * x underflows to 0 here, and F(s) = s to the last bit
+        pp = ParamPair(p, q)
+        assert sin_pq(pp, x).value == x
+        assert cos_pq(pp, x).value == 1.0
+        assert sin_cos(pp, x) == (x, 1.0)
+
 
 class TestCos:
     def test_at_zero(self):

@@ -194,6 +194,19 @@ class TestVerifyEngine:
         assert not rep.passed
         assert rep.note is not None
 
+    def test_non_finite_argmax_is_lexicographic(self):
+        # every point is non-finite, so the worst is the largest x, whatever
+        # the evaluation order; the note still names the first one
+        rep = verify("dbl-2-2", samples=50, rhs_offset=math.inf)
+        assert rep.max_abs_err == math.inf
+        assert rep.argmax_x == 10.0
+        assert rep.note == "non-finite value at (-10.0,)"
+
+    def test_non_finite_argmax_spans_panel_instances(self):
+        rep = verify("maf-sin", samples=20, rhs_offset=math.inf)
+        ends = [0.5 * pi_pq(ParamPair(p / (p - 1.0), p)) for p in P_PANEL]
+        assert rep.argmax_x == max(ends) == 1.9515412494906461
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             verify("dbl-2-2", samples=1)

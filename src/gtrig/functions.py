@@ -15,12 +15,15 @@ derivative of the extended sine and satisfies
 For (p, q) = (2, 2) all of this reduces to the circular functions and pi.
 
 The substitution u = t**q turns F into the incomplete Beta function
-(1/q) B_{x**q}(1/q, 1 - 1/p), which the inversion evaluates by continued
-fraction; pi_pq alone is integrated by quadrature.
+(1/q) B_{x**q}(1/q, 1 - 1/p).  One kernel, ``_arc``, sums its continued
+fraction and gives F together with its tail F(1) - F; the inversion seeds
+each root solve from a 33-node table of either, looked up by bisection.
+pi_pq alone is integrated by quadrature.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -91,8 +94,9 @@ class EvalConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not (self.quad_tol > 0 and self.root_tol > 0):
-            raise DomainError("all tolerances must be positive")
+        # the root solve scales root_tol by targets down to 1e-16
+        if not (self.quad_tol > 0 and self.root_tol * 1e-16 > 0):
+            raise DomainError("tolerances must be positive, with root_tol * 1e-16 > 0")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
@@ -117,57 +121,41 @@ class FunctionValue:
         return self.value
 
 
-_TABLE_SIZE = 33
+# the nodes j/32 of the seed tables, shared by every pair
+_GRID = tuple(j / 32 for j in range(33))
 
 
-def _arc_integral(p: float, q: float, s: float, half_pi: float) -> float:
-    """F(s) = (1/q) B_x(1/q, 1 - 1/p) with x = s**q, for s in [0, 1].
+def _arc(p: float, q: float, t: float, q_ln_t: float, half_pi: float) -> tuple[float, float]:
+    """(F(t), F(1) - F(t)) for t in (0, 1], given q_ln_t = q log t.
 
-    s**q is never raised to 1/q again: the front factor x**(1/q) of the
-    incomplete Beta fraction is s itself, so F stays right where s**q
-    underflows.  Above the fraction's convergence threshold the symmetric
-    form subtracts from ``half_pi`` = F(1), with 1 - s**q formed as
-    -expm1(q log s).
+    F(t) = (1/q) B_x(1/q, 1 - 1/p) with x = t**q, and the tail is
+    (1/q) B_y(1 - 1/p, 1/q) with y = 1 - x.  The fraction below its
+    convergence threshold is summed, and the other output is ``half_pi`` =
+    F(1) minus it.  Both share the front factor t y**(1 - 1/p), as x**(1/q)
+    is t itself, so nothing is lost where t**q underflows.  Tail callers pass
+    t = 1 - v and q log1p(-v), which keeps y = -expm1(q_ln_t) exact.
     """
-    if s <= 0.0:
-        return 0.0
     a, b = 1.0 / q, (p - 1.0) / p
-    q_ln_s = q * math.log(s)
-    x = math.exp(q_ln_s)
+    x = math.exp(q_ln_t)
+    y = -math.expm1(q_ln_t)
+    front = t * y**b
     if x < (a + 1.0) / (a + b + 2.0):
-        return incomplete_beta(a, b, x, s * math.exp(b * math.log1p(-x))) / q
-    y = -math.expm1(q_ln_s)
-    return half_pi - incomplete_beta(b, a, y, y**b * s) / q
-
-
-def _arc_tail(p: float, q: float, v: float, half_pi: float) -> float:
-    """F(1) - F(1 - v) = (1/q) B_y(1 - 1/p, 1/q) with y = 1 - (1 - v)**q.
-
-    y is formed as -expm1(q log1p(-v)), without cancellation, and
-    ((1 - v)**q)**(1/q) is 1 - v itself, as in ``_arc_integral``.
-    """
-    if v <= 0.0:
-        return 0.0
-    if v >= 1.0:
-        return half_pi
-    a, b = 1.0 / q, (p - 1.0) / p
-    q_ln_u = q * math.log1p(-v)
-    y = -math.expm1(q_ln_u)
-    if y < (b + 1.0) / (a + b + 2.0):
-        return incomplete_beta(b, a, y, y**b * (1.0 - v)) / q
-    return half_pi - incomplete_beta(a, b, math.exp(q_ln_u), (1.0 - v) * y**b) / q
+        head = incomplete_beta(a, b, x, front) / q
+        return head, half_pi - head
+    tail = incomplete_beta(b, a, y, front) / q
+    return half_pi - tail, tail
 
 
 @functools.lru_cache(maxsize=256)
 def _pair_record(
     p: float, q: float, quad_tol: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """What evaluations need per pair: (pi_pq/2, grid, f_grid, h_grid).
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """What evaluations need per pair: (pi_pq/2, f_grid, h_grid).
 
     pi_pq/2 = F(1) is integrated by tanh-sinh quadrature, independently of
     the incomplete Beta fraction that gives F below 1, in the reflected
     variable u = 1 - t, which puts the singularity at a zero lower endpoint.
-    f_grid holds F at the grid nodes and h_grid the tail at v = node**p_star:
+    f_grid holds F at the _GRID nodes and h_grid the tail at v = node**p_star:
     coarse monotone tables that only seed tight root brackets (the solves stay
     exact to tolerance).  The cache is bounded so that memory stays flat over
     many pairs; a pair pushed out is recomputed to the same values.
@@ -182,24 +170,16 @@ def _pair_record(
     with np.errstate(over="ignore"):
         half_pi = integrate_endpoint_singular(f, 0.0, 1.0, quad_tol).value
     pstar = p / (p - 1.0)
-    grid = np.linspace(0.0, 1.0, _TABLE_SIZE)
-    f_grid = np.array([_arc_integral(p, q, s, half_pi) for s in grid])
-    h_grid = np.array([_arc_tail(p, q, w**pstar, half_pi) for w in grid])
-    return half_pi, grid, f_grid, h_grid
+    inner = _GRID[1:-1]
+    vs = [w**pstar for w in inner]
+    f_grid = [_arc(p, q, s, q * math.log(s), half_pi)[0] for s in inner]
+    h_grid = [_arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1] for v in vs]
+    return half_pi, (0.0, *f_grid, half_pi), (0.0, *h_grid, half_pi)
 
 
 def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """The generalized circle constant pi_pq = 2 F(1), cached per (p, q)."""
     return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
-
-
-def _bracket(
-    grid: np.ndarray, values: np.ndarray, target: float
-) -> tuple[float, float, float, float]:
-    """Table cell [grid[j], grid[j+1]] whose stored values bracket target."""
-    j = int(np.searchsorted(values, target, side="right")) - 1
-    j = min(max(j, 0), grid.size - 2)
-    return float(grid[j]), float(grid[j + 1]), float(values[j]), float(values[j + 1])
 
 
 def _solve_reduced(
@@ -215,55 +195,53 @@ def _solve_reduced(
     relative accuracy.
     """
     p, q = pp.p, pp.q
-    half_pi, grid, f_grid, h_grid = record
+    half_pi, f_grid, h_grid = record
     if r <= 0.0:
         return 0.0, 1.0
     if r >= half_pi:
         return 1.0, 0.0
 
-    if r <= 0.5 * half_pi:
-        tol = config.root_tol * min(1.0, r)
-        if tol == 0.0 and r < 1e-16:
-            # r * root_tol underflowed; below 1e-16 the first correction term of
-            # F(s) = s + s**(q+1)/(p(q+1)) + ... is under half an ulp of s
-            return r, 1.0 - r
+    lower = r <= 0.5 * half_pi
+    if lower:
+        table, target = f_grid, r
 
         def f(s: float) -> float:
-            return _arc_integral(p, q, s, half_pi)
+            return _arc(p, q, s, q * math.log(s), half_pi)[0]
 
         def df(s: float) -> float:
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-        lo, hi, v_lo, v_hi = _bracket(grid, f_grid, r)
-        s = solve_increasing(
-            f, lo, hi, r, deriv=df, tol=tol, max_iter=config.max_iter,
-            f_lo=v_lo, f_hi=v_hi,
-        )
-        return s, 1.0 - s
+    else:
+        # the tail H(w**p_star) = half_pi - r (exact subtraction here since
+        # r >= half_pi / 2)
+        table, target = h_grid, half_pi - r
+        pstar = pp.p_star
 
-    # complementary solve: H(w**p_star) = half_pi - r (exact subtraction here
-    # since r >= half_pi / 2)
-    delta = half_pi - r
-    pstar = pp.p_star
-    tol = config.root_tol * min(1.0, delta)
+        def f(w: float) -> float:
+            v = w**pstar
+            return _arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1]
 
-    def fw(w: float) -> float:
-        return _arc_tail(p, q, w**pstar, half_pi)
+        def df(w: float) -> float:
+            v = w**pstar
+            base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
+            if base <= 0.0 or w <= 0.0:
+                return math.inf
+            return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
 
-    def dfw(w: float) -> float:
-        v = w**pstar
-        base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
-        if base <= 0.0 or w <= 0.0:
-            return math.inf
-        return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
-
-    lo, hi, v_lo, v_hi = _bracket(grid, h_grid, delta)
-    w = solve_increasing(
-        fw, lo, hi, delta, deriv=dfw, tol=tol, max_iter=config.max_iter,
-        f_lo=v_lo, f_hi=v_hi,
+    tol = config.root_tol * min(1.0, target)
+    if tol == 0.0:
+        # EvalConfig keeps root_tol * 1e-16 > 0, so r < 1e-16 on the lower
+        # half: there F(s) = s + s**(q+1)/(p(q+1)) + ... rounds to s
+        return r, 1.0 - r
+    j = min(max(bisect.bisect_right(table, target) - 1, 0), len(_GRID) - 2)
+    x = solve_increasing(
+        f, _GRID[j], _GRID[j + 1], target, deriv=df, tol=tol,
+        max_iter=config.max_iter, f_lo=table[j], f_hi=table[j + 1],
     )
-    v = w**pstar
+    if lower:
+        return x, 1.0 - x
+    v = x**pstar
     return 1.0 - v, v
 
 
@@ -354,9 +332,9 @@ def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> f
     if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 <= s <= 1.0):
         raise DomainError(f"arcsin_pq requires s in [0, 1], got {s!r}")
     half_pi = 0.5 * pi_pq(pp, config)
-    if s == 1.0:
-        return half_pi
-    return _arc_integral(pp.p, pp.q, float(s), half_pi)
+    if s == 0.0:
+        return 0.0
+    return _arc(pp.p, pp.q, float(s), pp.q * math.log(s), half_pi)[0]
 
 
 def ode_residual(

@@ -456,11 +456,14 @@ def identity_specs(
 
     Parameterized identities expand over the panel unless an explicit ``p``
     (for the exponent-indexed families) or ``pp`` (for the pair-indexed ones)
-    pins a single instance.
+    pins a single instance.  Passing either to an entry not indexed by it
+    raises DomainError.
     """
     if identity_id not in _CATALOG:
         raise UnknownIdentityError(identity_id)
     index, build = _CATALOG[identity_id]
+    if (p is not None and index != "p") or (pp is not None and index != "pq"):
+        raise DomainError(f"{identity_id} takes no {'p' if p is not None else 'pp'}")
     if index == "p":
         if p is not None:
             return (build(float(p), config),)

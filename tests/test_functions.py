@@ -15,8 +15,7 @@ from gtrig.functions import (
     EvalConfig,
     FunctionValue,
     ParamPair,
-    _arc_integral,
-    _arc_tail,
+    _arc,
     _pair_record,
     arcsin_pq,
     cos_pq,
@@ -85,6 +84,19 @@ class TestEvalConfig:
         with pytest.raises(DomainError):
             EvalConfig(max_iter=0)
 
+    @pytest.mark.parametrize("root_tol", [5e-324, 1e-320, 2.3e-308])
+    def test_root_tol_whose_product_with_1e_16_underflows(self, root_tol):
+        # the solve scales root_tol by targets down to 1e-16
+        with pytest.raises(DomainError):
+            EvalConfig(root_tol=root_tol)
+
+    def test_tiny_root_tol_still_evaluates(self):
+        cfg = EvalConfig(root_tol=1e-300)
+        for x in (5e-324, 1.05e-16, 0.5, 1.0, 2.0):
+            s, c = sin_cos(PP23, x, cfg)
+            assert s == pytest.approx(sin_pq(PP23, x).value, rel=1e-13, abs=0.0)
+            assert c == pytest.approx(cos_pq(PP23, x).value, rel=1e-13, abs=0.0)
+
 
 class TestPi:
     @pytest.mark.parametrize("key", sorted(PI_ORACLE, key=str))
@@ -149,9 +161,11 @@ def _log_uniform(rng, lo, hi):
 
 
 class TestArcLengthKernel:
-    """F(s) = (1/q) B_{s**q}(1/q, 1 - 1/p) and the tail F(1) - F(1 - v), both
-    from the incomplete Beta fraction, against 30-digit mpmath and against
-    tanh-sinh quadrature of the defining integral."""
+    """_arc gives F(t) = (1/q) B_{t**q}(1/q, 1 - 1/p) and the tail F(1) - F(t),
+    both from the incomplete Beta fraction, against 30-digit mpmath and
+    against tanh-sinh quadrature of the defining integral.  It is called as
+    F's callers call it, with q log s, and as the tail's, with t = 1 - v and
+    q log1p(-v)."""
 
     # the corners of the sampled ranges, and q = 255 where (1/32)**q underflows
     CORNERS = [(1.05, 1.001), (1.05, 1000.0), (1000.0, 1.001), (1000.0, 1000.0),
@@ -174,25 +188,29 @@ class TestArcLengthKernel:
         with mpmath.workdps(30):
             for p, q in pairs:
                 half = 0.5 * pi_pq(ParamPair(p, q))
-                # Above the fraction's threshold F is half_pi minus the rest,
-                # so its absolute error is that of the quadrature's
-                # half_pi = F(1) plus a few of its ulps, and F(1) reaches 21
-                # at (1.05, 1.001): the bound is 1e-14 on the scale of F's
-                # range.
+                # One of the two outputs is half_pi minus the other, so its
+                # absolute error is that of the quadrature's half_pi = F(1)
+                # plus a few of its ulps, and F(1) reaches 21 at
+                # (1.05, 1.001): the bound is 1e-14 on the scale of F's range.
                 bound = 1e-14 * max(1.0, half)
                 a = mpmath.mpf(1) / q
                 b = 1 - mpmath.mpf(1) / p
+
+                def check(got, t, where):
+                    # integrating up to 1 keeps 1 - t**q from rounding to 1
+                    x = t**q
+                    want = (mpmath.betainc(a, b, 0, x) / q,
+                            mpmath.betainc(a, b, x, 1) / q)
+                    assert abs(got[0] - float(want[0])) <= bound, where
+                    assert abs(got[1] - float(want[1])) <= bound, where
+
                 for s in self._points(rng):
                     underflows += s**q == 0.0
-                    want = float(mpmath.betainc(a, b, 0, mpmath.mpf(s) ** q) / q)
-                    got = _arc_integral(p, q, s, half)
-                    assert abs(got - want) <= bound, (p, q, s)
+                    check(_arc(p, q, s, q * math.log(s), half), mpmath.mpf(s),
+                          (p, q, s))
                 for v in self._points(rng):
-                    # integrating up to 1 keeps 1 - (1 - v)**q from rounding to 1
-                    lower = (1 - mpmath.mpf(v)) ** q
-                    want = float(mpmath.betainc(a, b, lower, 1) / q)
-                    got = _arc_tail(p, q, v, half)
-                    assert abs(got - want) <= bound, (p, q, v)
+                    check(_arc(p, q, 1.0 - v, q * math.log1p(-v), half),
+                          1 - mpmath.mpf(v), (p, q, v))
         assert underflows >= 5
 
     @pytest.mark.parametrize("p,q", [(2.0, 3.0), (4.0 / 3.0, 2.0), (1.1, 7.3),
@@ -211,9 +229,12 @@ class TestArcLengthKernel:
 
         for s in np.linspace(0.05, 0.95, 7):
             s = float(s)
-            assert abs(_arc_integral(p, q, s, half) - by_quadrature(s)) <= 1e-13
-            assert abs(_arc_tail(p, q, 1.0 - s, half)
-                       - (half - by_quadrature(s))) <= 1e-13
+            want = by_quadrature(s)
+            v = 1.0 - s
+            for got in (_arc(p, q, s, q * math.log(s), half),
+                        _arc(p, q, 1.0 - v, q * math.log1p(-v), half)):
+                assert abs(got[0] - want) <= 1e-13
+                assert abs(got[1] - (half - want)) <= 1e-13
 
 
 class TestSin:

@@ -70,6 +70,19 @@ class TestCatalog:
         with pytest.raises(UnknownIdentityError):
             eval_identity("no-such-id", 0.1)
 
+    @pytest.mark.parametrize("ident, kwargs", [
+        ("maf-sin", {"pp": ParamPair(3.0, 2.0)}),
+        ("pythagorean", {"p": 7.0}),
+        ("dbl-2-2", {"p": 7.0}),
+        ("dbl-2-2", {"pp": ParamPair(3.0, 2.0)}),
+        ("lemniscate-add", {"p": 7.0}),
+    ])
+    def test_instance_argument_of_the_wrong_kind(self, ident, kwargs):
+        with pytest.raises(DomainError):
+            identity_specs(ident, **kwargs)
+        with pytest.raises(DomainError):
+            eval_identity(ident, 0.5, **kwargs)
+
 
 class TestDedicatedDoubleAngles:
     def test_2_3_endpoints(self):

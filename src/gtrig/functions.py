@@ -95,10 +95,11 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         # the root solve scales root_tol by targets down to 1e-16
-        if not (self.quad_tol > 0 and self.root_tol * 1e-16 > 0):
-            raise DomainError("tolerances must be positive, with root_tol * 1e-16 > 0")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
+        tols = (self.quad_tol, self.root_tol * 1e-16)
+        if not all(0.0 < tol < math.inf for tol in tols):
+            raise DomainError("tolerances must be finite and > 0, and root_tol * 1e-16 > 0")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -108,9 +109,10 @@ DEFAULT_CONFIG = EvalConfig()
 class FunctionValue:
     """A sine/cosine value plus where its argument landed after reduction.
 
-    ``quadrant`` counts quarter-periods within one full period (boundary
-    points belong to the quadrant on their right, i.e. quadrants are closed on
-    the left), and ``reduced_x`` is the argument folded into [0, pi_pq/2].
+    ``quadrant`` counts quarter-periods within one full period.  For x >= 0 a
+    boundary point belongs to the quadrant on its right; a negative x takes
+    3 minus the quadrant of |x|, so its boundary points belong to the quadrant
+    on their left.  ``reduced_x`` is x folded into [0, pi_pq/2], equal for -x.
     """
 
     value: float
@@ -251,16 +253,13 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
         raise DomainError(f"argument must be finite, got {x!r}")
     record = _pair_record(pp.p, pp.q, config.quad_tol)
     half_pi = record[0]
-    period = 4.0 * half_pi
-    y = math.fmod(x, period)
-    if y < 0.0:
-        y += period
-    if y >= period:  # rounding of the addition above
-        y = 0.0
+    y = math.fmod(abs(x), 4.0 * half_pi)  # exact, so -x folds as x does
     quadrant = min(3, int(y / half_pi))
     # odd quadrants run down from the next quarter-period point, even ones up
     r = (quadrant + 1) * half_pi - y if quadrant % 2 else y - quadrant * half_pi
     r = min(max(r, 0.0), half_pi)
+    if x < 0.0:  # the sine is odd: mirror the quadrant, keep r
+        quadrant = 3 - quadrant
     s, one_minus_s = _solve_reduced(pp, r, record, config)
     return quadrant, r, s, one_minus_s
 

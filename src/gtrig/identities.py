@@ -557,8 +557,8 @@ def verify(
     such point.  ``rhs_offset`` perturbs every right side by a constant; it
     exists so the engine's sensitivity is itself testable.
     """
-    if samples < 2:
-        raise DomainError(f"samples must be at least 2, got {samples}")
+    if not (isinstance(samples, (int, np.integer)) and samples >= 2):
+        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     specs = identity_specs(

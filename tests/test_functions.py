@@ -25,6 +25,7 @@ from gtrig.functions import (
     sin_cos,
     sin_pq,
 )
+from gtrig.identities import PQ_PANEL
 from gtrig.numerics import integrate_endpoint_singular
 
 from conftest import (
@@ -83,6 +84,20 @@ class TestEvalConfig:
             EvalConfig(quad_tol=0.0)
         with pytest.raises(DomainError):
             EvalConfig(max_iter=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"root_tol": math.inf}, {"quad_tol": math.inf}, {"root_tol": math.nan},
+         {"max_iter": 1.5}, {"max_iter": 2.0}],
+    )
+    def test_rejects_infinite_tolerances_and_non_integer_max_iter(self, kwargs):
+        # root_tol = inf would accept a seed-table node unrefined
+        with pytest.raises(DomainError):
+            EvalConfig(**kwargs)
+
+    def test_numpy_integer_max_iter(self):
+        cfg = EvalConfig(max_iter=np.int64(100))
+        assert sin_pq(PP23, 1.0, cfg).value == sin_pq(PP23, 1.0).value
 
     @pytest.mark.parametrize("root_tol", [5e-324, 1e-320, 2.3e-308])
     def test_root_tol_whose_product_with_1e_16_underflows(self, root_tol):
@@ -374,6 +389,43 @@ class TestExtensionInvariants:
         for x in np.linspace(-10.0, 10.0, 201):
             assert abs(sin_pq(PP22, float(x)).value - math.sin(x)) <= 1e-12
             assert abs(cos_pq(PP22, float(x)).value - math.cos(x)) <= 1e-12
+
+
+class TestExactSymmetry:
+    """sin_pq is exactly odd and cos_pq exactly even: -x reduces as x does."""
+
+    PAIRS = [ParamPair(p, q) for p, q in PQ_PANEL] + [
+        PP22, ParamPair(1.05, 1000.0), ParamPair(1000.0, 1.05)
+    ]
+
+    @staticmethod
+    def arguments(pp):
+        half = 0.5 * pi_pq(pp)
+        xs = [5e-324, 1e-300, 1e-10, 1e-5, 0.3]
+        for k in range(-8, 9):
+            b = k * half
+            xs += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+        rng = np.random.default_rng(10)
+        xs += [float(v) for v in rng.uniform(-24.0 * half, 24.0 * half, 40)]
+        return xs
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_bit_exact_mirror(self, pp):
+        for x in self.arguments(pp):
+            sp, sm = sin_pq(pp, x), sin_pq(pp, -x)
+            cp, cm = cos_pq(pp, x), cos_pq(pp, -x)
+            assert sm.value == -sp.value, x
+            assert cm.value == cp.value, x
+            s, c = sin_cos(pp, x)
+            assert sin_cos(pp, -x) == (-s, c), x
+            if x != 0.0:  # -0.0 is not negative, so 0.0 has no mirror
+                assert sm.reduced_x == sp.reduced_x == cm.reduced_x, x
+                assert sm.quadrant == cm.quadrant == 3 - sp.quadrant, x
+
+    def test_small_negative_argument_is_its_own_sine(self):
+        # a wrap by x + period would round these by up to 8e-8 relative
+        for x in (1e-10, 5e-324):
+            assert sin_pq(PP22, -x).value == -x
 
 
 class TestDerivativeConsistency:

@@ -228,6 +228,15 @@ class TestVerifyEngine:
         with pytest.raises(UnknownIdentityError):
             verify("nope")
 
+    @pytest.mark.parametrize("samples", [10.5, 2.0, "20"])
+    def test_rejects_non_integral_samples(self, samples):
+        with pytest.raises(DomainError):
+            verify("dbl-2-2", samples=samples)
+
+    def test_accepts_numpy_integer_samples(self):
+        rep = verify("dbl-2-2", samples=np.int64(10), seed=1)
+        assert rep.samples == verify("dbl-2-2", samples=10, seed=1).samples == 20
+
     def test_two_argument_sampling_respects_sum_constraint(self):
         from gtrig.identities import _sample_points
 

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import click
@@ -27,68 +26,34 @@ from . import identities
 from .errors import GtrigError, UnknownIdentityError
 from .functions import ParamPair, arcsin_pq, cos_pq, pi_pq, sin_pq
 
-__all__ = ["CliDefaults", "DEFAULTS", "TableRequest", "cli", "main"]
+__all__ = ["cli", "main"]
+
+_FUNCTIONS = {
+    "sin": lambda pp, x: sin_pq(pp, x).value,
+    "cos": lambda pp, x: cos_pq(pp, x).value,
+    "arcsin": arcsin_pq,
+}
 
 
-@dataclass(frozen=True)
-class CliDefaults:
-    """All flag defaults in one place."""
+class _Group(click.Group):
+    """A group whose ``invoke`` alone maps errors to a message and exit code."""
 
-    samples: int = 1000
-    tol: float = 1e-9
-    seed: int = 0
-    table_format: str = "csv"
-    report_format: str = "table"
-
-
-DEFAULTS = CliDefaults()
-
-_FUNCTIONS = ("sin", "cos", "arcsin")
-
-
-@dataclass(frozen=True)
-class TableRequest:
-    """A grid-evaluation request: function, range, step, and output format."""
-
-    pp: ParamPair
-    fn: str
-    start: float
-    stop: float
-    step: float
-    fmt: str = DEFAULTS.table_format
-    out: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.fn not in _FUNCTIONS:
-            raise GtrigError(f"fn must be one of {_FUNCTIONS}, got {self.fn!r}")
-        if not self.start < self.stop:
-            raise GtrigError(f"need from < to, got [{self.start}, {self.stop}]")
-        if not 0.0 < self.step <= self.stop - self.start:
-            raise GtrigError(
-                f"step must lie in (0, to - from], got {self.step}"
-            )
-        if self.fn == "arcsin" and not (0.0 <= self.start and self.stop <= 1.0):
-            raise GtrigError("arcsin tables require [from, to] within [0, 1]")
-
-    def grid(self) -> list[float]:
-        n = int((self.stop - self.start) / self.step + 1e-9) + 1
-        return [self.start + i * self.step for i in range(n)]
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except UnknownIdentityError as exc:
+            message, code = f"unknown identity {exc}", 2
+        except GtrigError as exc:
+            message, code = str(exc), 2
+        except BrokenPipeError:
+            raise  # a closed stdout: click's main exits 1 quietly
+        except OSError as exc:
+            message, code = str(exc), 3
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _evaluate(pp: ParamPair, fn: str, x: float) -> float:
-    if fn == "sin":
-        return sin_pq(pp, x).value
-    if fn == "cos":
-        return cos_pq(pp, x).value
-    return arcsin_pq(pp, x)
-
-
-@click.group()
+@click.group(cls=_Group)
 def cli() -> None:
     """Generalized trigonometric functions and their identity verifier."""
 
@@ -98,31 +63,25 @@ def cli() -> None:
 @click.option("--q", type=float, required=True, help="Second exponent, > 1.")
 def cmd_pi(p: float, q: float) -> None:
     """Print the generalized circle constant pi_pq to 17 significant digits."""
-    try:
-        value = pi_pq(ParamPair(p, q))
-    except GtrigError as exc:
-        _fail(str(exc), 2)
+    value = pi_pq(ParamPair(p, q))
     click.echo(f"{value:.17g}")
 
 
 @cli.command("eval")
 @click.option("--p", type=float, required=True)
 @click.option("--q", type=float, required=True)
-@click.option("--fn", type=click.Choice(_FUNCTIONS), required=True)
+@click.option("--fn", type=click.Choice(list(_FUNCTIONS)), required=True)
 @click.option("--x", type=float, required=True)
 def cmd_eval(p: float, q: float, fn: str, x: float) -> None:
     """Evaluate sin, cos, or arcsin for the pair (p, q) at a point."""
-    try:
-        value = _evaluate(ParamPair(p, q), fn, x)
-    except GtrigError as exc:
-        _fail(str(exc), 2)
+    value = _FUNCTIONS[fn](ParamPair(p, q), x)
     click.echo(f"{value:.17g}")
 
 
 @cli.command("table")
 @click.option("--p", type=float, required=True)
 @click.option("--q", type=float, required=True)
-@click.option("--fn", type=click.Choice(_FUNCTIONS), required=True)
+@click.option("--fn", type=click.Choice(list(_FUNCTIONS)), required=True)
 @click.option("--from", "start", type=float, required=True)
 @click.option("--to", "stop", type=float, required=True)
 @click.option("--step", type=float, required=True)
@@ -130,7 +89,7 @@ def cmd_eval(p: float, q: float, fn: str, x: float) -> None:
     "--format",
     "fmt",
     type=click.Choice(["csv", "json"]),
-    default=DEFAULTS.table_format,
+    default="csv",
     show_default=True,
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -149,11 +108,16 @@ def cmd_table(
     Numbers are printed in shortest round-trip decimal form, so re-parsing a
     table reproduces the evaluated values bit for bit.
     """
-    try:
-        request = TableRequest(ParamPair(p, q), fn, start, stop, step, fmt, out)
-        rows = [(x, _evaluate(request.pp, request.fn, x)) for x in request.grid()]
-    except GtrigError as exc:
-        _fail(str(exc), 2)
+    pp = ParamPair(p, q)
+    if not (start < stop and math.isfinite(stop - start)):
+        raise GtrigError(f"need from < to, to - from finite, got [{start}, {stop}]")
+    if not (0.0 < step <= stop - start and (stop - start) / step < math.inf):
+        raise GtrigError(f"need 0 < step <= to - from, finitely many rows, got {step}")
+    if fn == "arcsin" and not (0.0 <= start and stop <= 1.0):
+        raise GtrigError("arcsin tables require [from, to] within [0, 1]")
+    n = int((stop - start) / step + 1e-9) + 1
+    xs = [start + i * step for i in range(n)]
+    rows = [(x, _FUNCTIONS[fn](pp, x)) for x in xs]
     if fmt == "csv":
         text = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
     else:
@@ -161,11 +125,8 @@ def cmd_table(
     if out is None:
         click.echo(text, nl=False)
     else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            _fail(str(exc), 3)
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
 
 
 def _json_safe(value):
@@ -194,14 +155,14 @@ def _report_lines(reports: list[identities.IdentityReport], fmt: str) -> str:
 @cli.command("verify")
 @click.option("--identity", "identity_id", type=str, default=None)
 @click.option("--all", "run_all", is_flag=True, help="Verify the whole catalog.")
-@click.option("--samples", type=int, default=DEFAULTS.samples, show_default=True)
-@click.option("--tol", type=float, default=DEFAULTS.tol, show_default=True)
-@click.option("--seed", type=int, default=DEFAULTS.seed, show_default=True)
+@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--format",
     "fmt",
     type=click.Choice(["table", "json"]),
-    default=DEFAULTS.report_format,
+    default="table",
     show_default=True,
 )
 @click.option(
@@ -227,18 +188,12 @@ def cmd_verify(
             click.echo(name)
         return
     if run_all == (identity_id is not None):
-        _fail("exactly one of --identity or --all is required", 2)
+        raise GtrigError("exactly one of --identity or --all is required")
     ids = sorted(identities.identity_ids()) if run_all else [identity_id]
-    reports = []
-    try:
-        for name in ids:
-            reports.append(
-                identities.verify(name, samples, tol, seed, rhs_offset=perturb)
-            )
-    except UnknownIdentityError as exc:
-        _fail(f"unknown identity {exc}", 2)
-    except GtrigError as exc:
-        _fail(str(exc), 2)
+    reports = [
+        identities.verify(name, samples, tol, seed, rhs_offset=perturb)
+        for name in ids
+    ]
     click.echo(_report_lines(reports, fmt), nl=False)
     if not all(rep.passed for rep in reports):
         sys.exit(1)

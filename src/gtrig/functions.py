@@ -87,7 +87,14 @@ class ParamPair:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and caps governing all numerics."""
+    """Tolerances and caps governing all numerics.
+
+    A root solve stops at a residual of at most root_tol * min(1, target): the
+    target is r = reduced_x on the lower half of [0, pi_pq/2], and pi_pq/2 - r
+    on the upper, solved for v = 1 - s.  F' >= 1 in s and in v, so |s - s_true|
+    is at most that too, plus the errors of the kernel and of the reduction.
+    That bounds sin_pq for any root_tol; near the quarter period cos_pq has none.
+    """
 
     quad_tol: float = 1e-13
     root_tol: float = 1e-13
@@ -249,8 +256,10 @@ def _solve_reduced(
 
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
     """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
+    # from 2**53 on, doubles lie >= 2 apart (up to half a period, pi_pq >= 2),
+    # so no digit of a value would mean anything; nan and +-inf fail as well
+    if not abs(x) < 2.0**53:
+        raise DomainError(f"argument must satisfy |x| < 2**53, got {x!r}")
     record = _pair_record(pp.p, pp.q, config.quad_tol)
     half_pi = record[0]
     y = math.fmod(abs(x), 4.0 * half_pi)  # exact, so -x folds as x does
@@ -302,7 +311,7 @@ def _signed_cos(pp: ParamPair, quadrant: int, s: float, one_minus_s: float) -> f
 
 
 def sin_pq(pp: ParamPair, x: float, config: EvalConfig = DEFAULT_CONFIG) -> FunctionValue:
-    """The generalized sine at any real x."""
+    """The generalized sine at a real x with |x| < 2**53."""
     quadrant, r, s, _ = _evaluate(pp, x, config)
     return FunctionValue(_signed_sin(quadrant, s), quadrant, r)
 

@@ -69,6 +69,11 @@ class TestEval:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("x", ["inf", "nan", "1e300"])
+    def test_argument_without_a_meaningful_value_exits_2(self, runner, x):
+        result = run(runner, "eval", "--p", "2", "--q", "2", "--fn", "sin", "--x", x)
+        assert result.exit_code == 2
+
     def test_unknown_function_exits_2(self, runner):
         result = run(
             runner, "eval", "--p", "2", "--q", "2", "--fn", "tan", "--x", "1.0"
@@ -129,6 +134,18 @@ class TestTable:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [("-inf", "0", "1"), ("-1e308", "1e308", "1"), ("0", "1e300", "1e-10")],
+    )
+    def test_non_finite_grid_exits_2(self, runner, start, stop, step):
+        # (to - from) / step overflows, so the grid has no finite number of rows
+        result = run(
+            runner, "table", "--p", "2", "--q", "2", "--fn", "sin",
+            "--from", start, "--to", stop, "--step", step,
+        )
+        assert result.exit_code == 2
+
     def test_arcsin_range_check_exits_2(self, runner):
         result = run(
             runner, "table", "--p", "2", "--q", "2", "--fn", "arcsin",
@@ -168,6 +185,7 @@ class TestVerify:
     def test_unknown_identity_exits_2(self, runner):
         result = run(runner, "verify", "--identity", "no-such-id")
         assert result.exit_code == 2
+        assert "unknown identity" in result.stderr
 
     def test_requires_identity_or_all(self, runner):
         assert run(runner, "verify").exit_code == 2
@@ -211,15 +229,34 @@ class TestVerify:
         assert perturbed.exit_code == 1
 
 
-def test_module_entry_point():
+def _child_env():
     # the subprocess imports the same gtrig as this process, installed or not
     src = str(Path(gtrig.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gtrig.cli", "pi", "--p", "2", "--q", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3.1415926535897931"
+
+
+def test_closed_stdout_exits_1_quietly():
+    # click's main quiets a broken pipe with exit 1; it is not a file error
+    with subprocess.Popen(
+        [sys.executable, "-m", "gtrig.cli", "table", "--p", "2", "--q", "2",
+         "--fn", "sin", "--from", "0", "--to", "1", "--step", "0.001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        proc.stdout.close()  # before the child has imported gtrig, let alone written
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""

@@ -293,6 +293,33 @@ class TestSin:
         with pytest.raises(DomainError):
             sin_pq(PP23, math.inf)
 
+    @pytest.mark.parametrize("x", [2.0**53, 1e17, 1e300, -2.0**53, -1e300])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.05, 1000.0)])
+    def test_rejects_arguments_past_2_to_the_53(self, p, q, x):
+        # doubles there lie >= 2 apart, up to half a period: no digit survives
+        pp = ParamPair(p, q)
+        for fn in (sin_pq, cos_pq, sin_cos):
+            with pytest.raises(DomainError):
+                fn(pp, x)
+
+    @pytest.mark.parametrize("x", [1e9, 1e12, 1e15, 2.0**52])
+    def test_large_argument_error_bound(self, x):
+        # fmod against the rounded period loses |x| * ulp(2 pi) / (4 pi) at most
+        for arg in (x, -x):
+            assert abs(sin_pq(PP22, arg).value - math.sin(arg)) <= abs(arg) * 2.0**-53
+
+    @pytest.mark.parametrize("root_tol", [0.5, 1e-3, 1e-6])
+    def test_root_tol_bounds_the_sine(self, root_tol):
+        # F' >= 1 on both solve branches, so |s - s_true| <= the residual bound
+        cfg = EvalConfig(root_tol=root_tol)
+        half_pi = 0.5 * pi_pq(PP22)
+        xs = np.random.default_rng(11).uniform(-10.0, 10.0, 4000)
+        for x in xs.tolist():
+            fv = sin_pq(PP22, x, cfg)
+            target = min(fv.reduced_x, half_pi - fv.reduced_x)
+            bound = root_tol * min(1.0, target) + 1e-14
+            assert abs(fv.value - math.sin(x)) <= bound
+
     @pytest.mark.parametrize("x", [5e-324, 1e-320, 2e-311])
     @pytest.mark.parametrize(
         "p, q", [(2.0, 2.0), (2.0, 3.0), (1.05, 1000.0), (1000.0, 1.05)]

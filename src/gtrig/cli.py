@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 import click
@@ -32,6 +33,12 @@ _FUNCTIONS = {
     "sin": lambda pp, x: sin_pq(pp, x).value,
     "cos": lambda pp, x: cos_pq(pp, x).value,
     "arcsin": arcsin_pq,
+}
+
+# --format -> (head, row from x and its value, separator, tail) of a streamed table
+_TABLE_FORMATS = {
+    "csv": ("x,value\n", lambda x, v: f"{x!r},{v!r}\n", "", ""),
+    "json": ("[", lambda x, v: json.dumps({"x": x, "value": v}), ", ", "]\n"),
 }
 
 
@@ -88,7 +95,7 @@ def cmd_eval(p: float, q: float, fn: str, x: float) -> None:
 @click.option(
     "--format",
     "fmt",
-    type=click.Choice(["csv", "json"]),
+    type=click.Choice(list(_TABLE_FORMATS)),
     default="csv",
     show_default=True,
 )
@@ -115,18 +122,20 @@ def cmd_table(
         raise GtrigError(f"need 0 < step <= to - from, finitely many rows, got {step}")
     if fn == "arcsin" and not (0.0 <= start and stop <= 1.0):
         raise GtrigError("arcsin tables require [from, to] within [0, 1]")
+    head, row, sep, tail = _TABLE_FORMATS[fmt]
     n = int((stop - start) / step + 1e-9) + 1
-    xs = [start + i * step for i in range(n)]
-    rows = [(x, _FUNCTIONS[fn](pp, x)) for x in xs]
-    if fmt == "csv":
-        text = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in rows)
-    else:
-        text = json.dumps([{"x": x, "value": v} for x, v in rows]) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    xs = (start + i * step for i in range(n))
+    lines = (row(x, _FUNCTIONS[fn](pp, x)) for x in xs)
+    first = next(lines)  # before --out is opened: a pair that fails leaves it as it was
+    sink = nullcontext(sys.stdout)
+    if out is not None:
+        sink = open(out, "w", encoding="utf-8", newline="\n")
+    with sink as handle:
+        handle.write(head + first)
+        for line in lines:
+            handle.write(sep + line)
+        handle.write(tail)
+        handle.flush()  # a closed stdout fails here, inside click's broken-pipe rule
 
 
 def _json_safe(value):

@@ -36,7 +36,8 @@ proof-sum-diff            1/g**2 + g**2 = 4/f(2x)**2 - 2  and
 ========================  =====================================================
 
 Parameterized entries (maf-*, half-*, duality-*, pythagorean) are verified
-over the configurable panels below.
+over the configurable panels below.  The dbl-* and maf-*/half-* entries are
+rows of ``_DOUBLE_ANGLES`` and ``_MULTIPLE_ANGLES``, one builder per table.
 """
 
 from __future__ import annotations
@@ -221,83 +222,56 @@ def _pythagorean(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
     return IdentitySpec("pythagorean", pp, (-span, span), sides)
 
 
-def _maf_pairs(p: float) -> tuple[ParamPair, ParamPair, float]:
-    """Inner (p*, p) pair, outer (2, p) pair, and the 2**(2/p) scale factor
-    linking them in the multiple-angle relations."""
-    pstar = p / (p - 1.0)
-    return ParamPair(pstar, p), ParamPair(2.0, p), 2.0 ** (2.0 / p)
+def _half_power(c2: float, s2: float, p: float, expo: float) -> float:
+    """((1 - c2)/2)**expo on the pair (2, p), with 1 - c2 written through s2 where
+    c2 > 0.5, so it stays accurate where c2 is within an ulp of 1; -c2 gives 1 + c2."""
+    u = 1.0 - c2
+    if c2 > 0.5:
+        u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
+    return fractional_power(0.5 * u, expo)
 
 
-def _maf_sin(p: float, config: EvalConfig) -> IdentitySpec:
-    inner, outer, k = _maf_pairs(p)
-    half = 0.5 * pi_pq(inner, config)
-    pstar = inner.p
-
-    def sides(x: float) -> tuple[float, float]:
-        s, c = sin_cos(inner, x, config)
-        return (
-            sin_pq(outer, k * x, config).value,
-            k * s * fractional_power(c, pstar - 1.0),
-        )
-
-    return IdentitySpec("maf-sin", inner, (0.0, half), sides)
+def _cos_chain(p, pstar, k, s, c, s2, c2) -> tuple[float, float, float, float]:
+    cp, sp = fractional_power(c, pstar), fractional_power(s, p)
+    return c2, cp - sp, 1.0 - 2.0 * sp, 2.0 * cp - 1.0
 
 
-def _maf_cos(p: float, config: EvalConfig) -> IdentitySpec:
-    inner, outer, k = _maf_pairs(p)
-    half = 0.5 * pi_pq(inner, config)
-    pstar = inner.p
-
-    def sides(x: float) -> tuple[float, float, float, float]:
-        _, outer_cos = sin_cos(outer, k * x, config)
-        s, c = sin_cos(inner, x, config)
-        cp, sp = fractional_power(c, pstar), fractional_power(s, p)
-        return outer_cos, cp - sp, 1.0 - 2.0 * sp, 2.0 * cp - 1.0
-
-    return IdentitySpec(
-        "maf-cos", inner, (0.0, half), sides, comparisons=((0, 1), (1, 2), (2, 3))
-    )
-
-
-def _half_sin(p: float, config: EvalConfig) -> IdentitySpec:
-    inner, outer, k = _maf_pairs(p)
-    half = 0.5 * pi_pq(inner, config)
-
-    def sides(x: float) -> tuple[float, float]:
-        s, _ = sin_cos(inner, x, config)
-        s2, c2 = sin_cos(outer, k * x, config)
-        if c2 > 0.5:
-            # same quantity as (1 - c2), written through |c|**2 = 1 - s**p so
-            # it stays accurate where c2 is within an ulp of 1
-            u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
-        else:
-            u = 1.0 - c2
-        return s, fractional_power(0.5 * u, 1.0 / p)
-
-    return IdentitySpec("half-sin", inner, (0.0, half), sides)
-
-
-def _half_cos(p: float, config: EvalConfig) -> IdentitySpec:
-    inner, outer, k = _maf_pairs(p)
-    half = 0.5 * pi_pq(inner, config)
-    pstar = inner.p
-
-    def sides(x: float) -> tuple[float, float]:
-        _, c = sin_cos(inner, x, config)
-        s2, c2 = sin_cos(outer, k * x, config)
-        if c2 < -0.5:
-            # 1 + c2 with c2 = -(1 - s2**p)**(1/2), cancellation-free
-            u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
-        else:
-            u = 1.0 + c2
-        return c, fractional_power(0.5 * u, 1.0 / pstar)
-
+# id -> (sides from p, p* = p/(p-1), k = 2**(2/p), s, c = sin_cos_{p*,p}(x) and
+# s2, c2 = sin_cos_{2,p}(k x), extra IdentitySpec fields), on [0, pi_{p*,p}/2].
+_MULTIPLE_ANGLES: dict[str, tuple[Callable[..., tuple[float, ...]], dict]] = {
+    "maf-sin": (
+        lambda p, pstar, k, s, c, s2, c2: (s2, k * s * fractional_power(c, pstar - 1.0)),
+        {},
+    ),
+    "maf-cos": (_cos_chain, {"comparisons": ((0, 1), (1, 2), (2, 3))}),
+    "half-sin": (
+        lambda p, pstar, k, s, c, s2, c2: (s, _half_power(c2, s2, p, 1.0 / p)),
+        {},
+    ),
     # x and 2**(2/p) x cannot both be float-exact at the quarter period, and
     # for p < 2 both sides behave like (half - x)**(p-1) there, so the ulp of
     # argument coupling inflates sublinearly; stay a hair inside the endpoint.
-    return IdentitySpec(
-        "half-cos", inner, (0.0, half), sides, closed_hi=False, inset=1e-9
-    )
+    "half-cos": (
+        lambda p, pstar, k, s, c, s2, c2: (c, _half_power(-c2, s2, p, 1.0 / pstar)),
+        {"closed_hi": False, "inset": 1e-9},
+    ),
+}
+
+
+def _multiple_angle(identity_id: str, p: float, config: EvalConfig) -> IdentitySpec:
+    sides_of, fields = _MULTIPLE_ANGLES[identity_id]
+    outer = ParamPair(2.0, p)  # checks p before p* divides by p - 1
+    pstar = p / (p - 1.0)
+    inner = ParamPair(pstar, p)
+    k = 2.0 ** (2.0 / p)
+
+    def sides(x: float) -> tuple[float, ...]:
+        s, c = sin_cos(inner, x, config)
+        s2, c2 = sin_cos(outer, k * x, config)
+        return sides_of(p, pstar, k, s, c, s2, c2)
+
+    half = 0.5 * pi_pq(inner, config)
+    return IdentitySpec(identity_id, inner, (0.0, half), sides, **fields)
 
 
 def _duality_pi(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
@@ -423,10 +397,7 @@ def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
 _CATALOG: dict[str, tuple[Optional[str], Callable[..., IdentitySpec]]] = {
     "pythagorean": ("pq", _pythagorean),
     **{i: (None, partial(_double_angle, i)) for i in _DOUBLE_ANGLES},
-    "maf-sin": ("p", _maf_sin),
-    "maf-cos": ("p", _maf_cos),
-    "half-sin": ("p", _half_sin),
-    "half-cos": ("p", _half_cos),
+    **{i: ("p", partial(_multiple_angle, i)) for i in _MULTIPLE_ANGLES},
     "duality-pi": ("pq", _duality_pi),
     "duality-sin": ("pq", _duality_sin),
     "lemniscate-add": (None, _lemniscate_add),
@@ -557,13 +528,16 @@ def verify(
     such point.  ``rhs_offset`` perturbs every right side by a constant; it
     exists so the engine's sensitivity is itself testable.
     """
-    if not (isinstance(samples, (int, np.integer)) and samples >= 2):
-        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
+    for name, value, least in (("samples", samples, 2), ("seed", seed, 0)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     specs = identity_specs(
         identity_id, p_panel=p_panel, pq_panel=pq_panel, config=config
     )
+    if not specs:
+        raise DomainError(f"{identity_id} has no instances: its panel is empty")
     start = time.perf_counter()
     total = 0
     best_err = -math.inf
@@ -574,9 +548,8 @@ def verify(
     for spec in specs:
         points = _sample_points(spec, samples, seed)
         total += len(points)
-        for row in points:
-            args = tuple(float(v) for v in row)
-            values = [float(v) for v in spec.sides(*args)]
+        for args in map(tuple, points.tolist()):
+            values = spec.sides(*args)
             err = 0.0
             for i, j in spec.comparisons:
                 lv, rv = values[i], values[j] + rhs_offset
@@ -587,9 +560,9 @@ def verify(
                     break
                 err = max(err, abs(lv - rv))
             if err > best_err or (err == best_err and args[0] > best_x):
-                best_err, best_x = err, args[0]
+                best_err, best_x = float(err), args[0]
                 best_y = args[1] if spec.arity == 2 else None
-                best_lhs = values[spec.comparisons[0][0]]
+                best_lhs = float(values[spec.comparisons[0][0]])
     elapsed = time.perf_counter() - start
     passed = math.isfinite(best_err) and best_err <= tol and note is None
     rel = (

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,48 @@ class TestTable:
         assert text.startswith("x,value\n")
         assert text.count("\n") == 4
 
+    def test_rows_are_streamed_in_bounded_memory(self, runner, tmp_path):
+        # the grid is never held whole: 20,001 rows took 10 MB when it was
+        out = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            result = run(
+                runner, "table", "--p", "2", "--q", "2", "--fn", "arcsin",
+                "--from", "0", "--to", "1", "--step", "5e-5",
+                "--format", "json", "--out", str(out),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert len(json.loads(out.read_text(encoding="utf-8"))) == 20001
+        assert peak < 1_000_000
+
+    def test_failing_first_row_leaves_output_file_untouched(self, runner, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"kept\r\n")
+        result = run(
+            runner, "table", "--p", "1.01", "--q", "2", "--fn", "sin",
+            "--from", "0", "--to", "1", "--step", "0.5", "--out", str(out),
+        )
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+        assert out.read_bytes() == b"kept\r\n"
+
+    def test_rows_before_a_failing_row_are_written(self, runner):
+        # x = 1e16 is past 2**53; the ten rows below it come out first
+        result = run(
+            runner, "table", "--p", "2", "--q", "2", "--fn", "sin",
+            "--from", "0", "--to", "1e16", "--step", "1e15",
+        )
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == "x,value"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [
+            i * 1e15 for i in range(10)
+        ]
+
     def test_unwritable_output_exits_3(self, runner, tmp_path):
         result = run(
             runner, "table", "--p", "2", "--q", "2", "--fn", "sin",
@@ -209,6 +252,11 @@ class TestVerify:
         reports = json.loads(result.output)
         assert reports[0]["identity_id"] == "dbl-2-2"
         assert reports[0]["passed"] is True
+
+    def test_negative_seed_exits_2(self, runner):
+        result = run(runner, "verify", "--identity", "dbl-2-2", "--seed", "-1")
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
 
     def test_failed_identity_exits_1(self, runner):
         result = run(

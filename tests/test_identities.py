@@ -158,6 +158,20 @@ class TestEvalIdentity:
         with pytest.raises(DomainError):
             eval_identity("proof-f2x", 0.0)
 
+    @pytest.mark.parametrize("ident", ["maf-sin", "maf-cos", "half-sin", "half-cos"])
+    def test_family_exponent_at_one_is_a_domain_error(self, ident):
+        # p* = p/(p-1) has no value at p = 1; the pair (2, p) rejects it first
+        with pytest.raises(DomainError):
+            eval_identity(ident, 0.5, p=1.0)
+        with pytest.raises(DomainError):
+            verify(ident, samples=10, p_panel=(1.0,))
+
+    def test_maf_sin_left_side_is_the_outer_sine(self):
+        k = 2.0 ** (2.0 / 3.0)
+        for x in (0.1, 0.5, 1.0):
+            lhs, _ = eval_identity("maf-sin", x, p=3.0)
+            assert lhs == sin_pq(ParamPair(2.0, 3.0), k * x).value
+
     def test_maf_cos_chain_agrees_pairwise(self):
         spec = identity_specs("maf-cos", p=3.0)[0]
         assert len(spec.comparisons) == 3
@@ -233,9 +247,31 @@ class TestVerifyEngine:
         with pytest.raises(DomainError):
             verify("dbl-2-2", samples=samples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError):
+            verify("dbl-2-2", samples=10, seed=seed)
+
+    @pytest.mark.parametrize("ident, kwargs", [
+        ("maf-sin", {"p_panel": ()}),
+        ("half-cos", {"p_panel": []}),
+        ("pythagorean", {"pq_panel": ()}),
+        ("duality-sin", {"pq_panel": []}),
+    ])
+    def test_rejects_an_empty_panel(self, ident, kwargs):
+        with pytest.raises(DomainError):
+            verify(ident, samples=10, **kwargs)
+
     def test_accepts_numpy_integer_samples(self):
-        rep = verify("dbl-2-2", samples=np.int64(10), seed=1)
-        assert rep.samples == verify("dbl-2-2", samples=10, seed=1).samples == 20
+        rep = verify("dbl-2-2", samples=np.int64(10), seed=np.int64(1))
+        again = verify("dbl-2-2", samples=10, seed=1)
+        assert rep.samples == again.samples == 20
+        assert rep.max_abs_err == again.max_abs_err
+
+    def test_report_holds_python_floats_for_a_numpy_panel(self):
+        rep = verify("pythagorean", samples=10, pq_panel=np.array([[2.0, 3.0]]))
+        assert type(rep.max_abs_err) is float and type(rep.rel_err) is float
+        assert type(rep.argmax_x) is float
 
     def test_two_argument_sampling_respects_sum_constraint(self):
         from gtrig.identities import _sample_points

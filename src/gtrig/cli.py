@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from typing import Optional
 
 import click
+import numpy as np
 
 from . import identities
 from .errors import GtrigError, UnknownIdentityError
@@ -34,6 +35,8 @@ _FUNCTIONS = {
     "cos": lambda pp, x: cos_pq(pp, x).value,
     "arcsin": arcsin_pq,
 }
+
+_TABLE_CHUNK = 1024  # rows a table evaluates in one array call
 
 # --format -> (head, row from x and its value, separator, tail) of a streamed table
 _TABLE_FORMATS = {
@@ -124,8 +127,7 @@ def cmd_table(
         raise GtrigError("arcsin tables require [from, to] within [0, 1]")
     head, row, sep, tail = _TABLE_FORMATS[fmt]
     n = int((stop - start) / step + 1e-9) + 1
-    xs = (start + i * step for i in range(n))
-    lines = (row(x, _FUNCTIONS[fn](pp, x)) for x in xs)
+    lines = (row(x, v) for x, v in _table_rows(_FUNCTIONS[fn], pp, start, step, n))
     first = next(lines)  # before --out is opened: a pair that fails leaves it as it was
     sink = nullcontext(sys.stdout)
     if out is not None:
@@ -136,6 +138,19 @@ def cmd_table(
             handle.write(sep + line)
         handle.write(tail)
         handle.flush()  # a closed stdout fails here, inside click's broken-pipe rule
+
+
+def _table_rows(fn, pp: ParamPair, start: float, step: float, n: int):
+    """(x, fn(pp, x)) for x = start + i*step, i < n, as Python floats: each
+    chunk of rows in one array call, bit for bit what scalar calls give."""
+    for i in range(0, n, _TABLE_CHUNK):
+        xs = start + np.arange(i, min(i + _TABLE_CHUNK, n)) * step
+        try:
+            values = fn(pp, xs).tolist()
+        except GtrigError:
+            # row by row, so that the rows before the failing one are written
+            values = (fn(pp, x) for x in xs.tolist())
+        yield from zip(xs.tolist(), values)
 
 
 def _json_safe(value):

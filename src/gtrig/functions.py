@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import incomplete_beta, integrate_endpoint_singular, solve_increasing
+from .errors import BracketError, DomainError, NonConvergenceError
+from .numerics import (
+    incomplete_beta, incomplete_beta_array, integrate_endpoint_singular, solve_increasing,
+)
 
 __all__ = [
     "ParamPair",
@@ -45,6 +47,7 @@ __all__ = [
     "sin_cos",
     "ode_residual",
     "fractional_power",
+    "power",
 ]
 
 # ParamPair accepts any exponent above 1.  Near 1 the endpoint singularity
@@ -155,19 +158,48 @@ def _arc(p: float, q: float, t: float, q_ln_t: float, half_pi: float) -> tuple[f
     return half_pi - tail, tail
 
 
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn over the elements of same-shape arrays, as Python floats.  The array
+    path forms every exp, log and power so, as numpy's ufuncs differ from math
+    and ``**`` in the last bit on a few percent of inputs."""
+    flat = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(flat, float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def power(base, exponent: float):
+    """base**exponent by Python's float power, elementwise on an ndarray."""
+    if isinstance(base, np.ndarray):
+        return _each(lambda v: v**exponent, base)
+    return base**exponent
+
+
+def _arc_array(p: float, q: float, t: np.ndarray, q_ln_t: np.ndarray, half_pi: float):
+    """``_arc`` over a 1-d array of t, each element on its own branch."""
+    a, b = 1.0 / q, (p - 1.0) / p
+    x = _each(math.exp, q_ln_t)
+    y = -_each(math.expm1, q_ln_t)
+    front = t * power(y, b)
+    head = x < (a + 1.0) / (a + b + 2.0)
+    part = np.empty_like(t)
+    part[head] = incomplete_beta_array(a, b, x[head], front[head]) / q
+    part[~head] = incomplete_beta_array(b, a, y[~head], front[~head]) / q
+    rest = half_pi - part
+    return np.where(head, part, rest), np.where(head, rest, part)
+
+
 @functools.lru_cache(maxsize=256)
-def _pair_record(
-    p: float, q: float, quad_tol: float
-) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """What evaluations need per pair: (pi_pq/2, f_grid, h_grid).
+def _pair_record(p: float, q: float, quad_tol: float) -> tuple:
+    """What evaluations need per pair: (pi_pq/2, f_grid, h_grid, halves).
 
     pi_pq/2 = F(1) is integrated by tanh-sinh quadrature, independently of
     the incomplete Beta fraction that gives F below 1, in the reflected
     variable u = 1 - t, which puts the singularity at a zero lower endpoint.
     f_grid holds F at the _GRID nodes and h_grid the tail at v = node**p_star:
     coarse monotone tables that only seed tight root brackets (the solves stay
-    exact to tolerance).  The cache is bounded so that memory stays flat over
-    many pairs; a pair pushed out is recomputed to the same values.
+    exact to tolerance).  halves holds the ``_half`` functions of the lower
+    and the upper half, made once per pair.  The cache is bounded so that
+    memory stays flat over many pairs; a pair pushed out is recomputed to the
+    same values.
     """
     inv_p = -1.0 / p
 
@@ -178,12 +210,10 @@ def _pair_record(
     # check then raises a typed error, not a numpy warning
     with np.errstate(over="ignore"):
         half_pi = integrate_endpoint_singular(f, 0.0, 1.0, quad_tol).value
-    pstar = p / (p - 1.0)
-    inner = _GRID[1:-1]
-    vs = [w**pstar for w in inner]
-    f_grid = [_arc(p, q, s, q * math.log(s), half_pi)[0] for s in inner]
-    h_grid = [_arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1] for v in vs]
-    return half_pi, (0.0, *f_grid, half_pi), (0.0, *h_grid, half_pi)
+    halves = (_half(p, q, half_pi, False), _half(p, q, half_pi, True))
+    f_grid = [halves[0][0](s) for s in _GRID[1:-1]]
+    h_grid = [halves[1][0](w) for w in _GRID[1:-1]]
+    return half_pi, (0.0, *f_grid, half_pi), (0.0, *h_grid, half_pi), halves
 
 
 def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -191,28 +221,11 @@ def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
 
 
-def _solve_reduced(
-    pp: ParamPair, r: float, record: tuple, config: EvalConfig
-) -> tuple[float, float]:
-    """Invert F on the reduced interval: return (s, 1 - s) with F(s) = r.
-
-    The complement 1 - s is solved for directly when r lies in the upper half
-    of [0, half_pi], in the variable v = w**p_star that straightens out the
-    infinite derivative of F at s = 1; this keeps full precision in the
-    cosine magnitude (1 - s**q)**(1/p) arbitrarily close to the quarter
-    period.  Residual tolerances scale with the target so small values keep
-    relative accuracy.
-    """
-    p, q = pp.p, pp.q
-    half_pi, f_grid, h_grid = record
-    if r <= 0.0:
-        return 0.0, 1.0
-    if r >= half_pi:
-        return 1.0, 0.0
-
-    lower = r <= 0.5 * half_pi
-    if lower:
-        table, target = f_grid, r
+def _half(p: float, q: float, half_pi: float, upper: bool):
+    """(f, df, f over arrays) that one half of [0, half_pi] is solved in: F in
+    s on the lower half, and on the upper the tail H(w**p_star) in w, which
+    straightens out the infinite derivative of F at s = 1."""
+    if not upper:
 
         def f(s: float) -> float:
             return _arc(p, q, s, q * math.log(s), half_pi)[0]
@@ -221,22 +234,49 @@ def _solve_reduced(
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-    else:
-        # the tail H(w**p_star) = half_pi - r (exact subtraction here since
-        # r >= half_pi / 2)
-        table, target = h_grid, half_pi - r
-        pstar = pp.p_star
+        return f, df, lambda s: _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0]
+    pstar = p / (p - 1.0)
 
-        def f(w: float) -> float:
-            v = w**pstar
-            return _arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1]
+    def f(w: float) -> float:
+        v = w**pstar
+        return _arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1]
 
-        def df(w: float) -> float:
-            v = w**pstar
-            base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
-            if base <= 0.0 or w <= 0.0:
-                return math.inf
-            return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
+    def df(w: float) -> float:
+        v = w**pstar
+        base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
+        if base <= 0.0 or w <= 0.0:
+            return math.inf
+        return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
+
+    def f_array(w: np.ndarray) -> np.ndarray:
+        v = power(w, pstar)
+        return _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)[1]
+
+    return f, df, f_array
+
+
+def _solve_reduced(
+    pp: ParamPair, r: float, record: tuple, config: EvalConfig
+) -> tuple[float, float]:
+    """Invert F on the reduced interval: return (s, 1 - s) with F(s) = r.
+
+    The complement 1 - s is solved for directly when r lies in the upper half
+    of [0, half_pi], in the variable v = w**p_star; this keeps full precision
+    in the cosine magnitude (1 - s**q)**(1/p) arbitrarily close to the quarter
+    period.  Residual tolerances scale with the target so small values keep
+    relative accuracy.
+    """
+    half_pi, f_grid, h_grid, halves = record
+    if r <= 0.0:
+        return 0.0, 1.0
+    if r >= half_pi:
+        return 1.0, 0.0
+
+    lower = r <= 0.5 * half_pi
+    # the upper half solves H(w**p_star) = half_pi - r, a subtraction that is
+    # exact there since r >= half_pi / 2
+    table, target = (f_grid, r) if lower else (h_grid, half_pi - r)
+    f, df, _ = halves[0 if lower else 1]
 
     tol = config.root_tol * min(1.0, target)
     if tol == 0.0:
@@ -250,12 +290,54 @@ def _solve_reduced(
     )
     if lower:
         return x, 1.0 - x
-    v = x**pstar
+    v = x**pp.p_star
     return 1.0 - v, v
+
+
+def _solve_lockstep(f, df, table, target, tol, max_iter) -> np.ndarray:
+    """``solve_increasing`` as ``_solve_reduced`` calls it, for each element of
+    a 1-d ``target`` at once; ``f`` maps arrays, ``df`` floats.  Each element
+    takes the steps of its own scalar solve and leaves as it stops, so every
+    root equals the scalar one bit for bit."""
+    table, grid = np.asarray(table), np.asarray(_GRID)
+    j = np.clip(np.searchsorted(table, target, side="right") - 1, 0, len(_GRID) - 2)
+    a, b = grid[j], grid[j + 1]
+    fa, fb = table[j] - target, table[j + 1] - target
+    out = np.where(np.abs(fa) <= tol, a, b)
+    live = np.flatnonzero((np.abs(fa) > tol) & (np.abs(fb) > tol))
+    a, fa, b, fb, target, tol = (v[live] for v in (a, fa, b, fb, target, tol))
+    if ((fa > 0.0) | (fb < 0.0)).any():
+        raise BracketError(f"targets outside their seed cells, first {target[0]!r}")
+    x = a - fa * (b - a) / (fb - fa)
+    x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
+    fx = f(x) - target
+    for _ in range(max_iter):
+        stop = np.abs(fx) <= tol
+        out[live[stop]] = x[stop]
+        lower = fx < 0.0
+        a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
+        b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
+        d = np.zeros_like(x)
+        d[~stop] = _each(df, x[~stop])
+        newton = np.isfinite(d) & (d > 0.0)
+        step = x - fx / np.where(newton, d, 1.0)
+        step = np.where(newton & (a < step) & (step < b), step, a + 0.5 * (b - a))
+        # a bracket down to adjacent floats ends at its smaller residual
+        adjacent = ~stop & ~((a < step) & (step < b))
+        out[live[adjacent]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[adjacent]
+        keep = ~(stop | adjacent)
+        kept = (live, step, a, fa, b, fb, target, tol)
+        live, x, a, fa, b, fb, target, tol = (v[keep] for v in kept)
+        if not live.size:
+            return out
+        fx = f(x) - target
+    raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
 
 
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
     """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
+    if isinstance(x, np.ndarray):
+        return _evaluate_array(pp, x, config)
     # from 2**53 on, doubles lie >= 2 apart (up to half a period, pi_pq >= 2),
     # so no digit of a value would mean anything; nan and +-inf fail as well
     if not abs(x) < 2.0**53:
@@ -273,6 +355,38 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
     return quadrant, r, s, one_minus_s
 
 
+def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
+    """``_evaluate`` over an ndarray, by the same steps, on its flattened copy."""
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"argument must be a real array, got dtype {x.dtype}")
+    shape, x = x.shape, np.asarray(x, dtype=float).ravel()
+    bad = ~(np.abs(x) < 2.0**53)
+    if bad.any():
+        raise DomainError(f"argument must satisfy |x| < 2**53, got {x[bad][0].item()!r}")
+    half_pi, f_grid, h_grid, halves = _pair_record(pp.p, pp.q, config.quad_tol)
+    y = np.fmod(np.abs(x), 4.0 * half_pi)
+    quadrant = np.minimum(3, (y / half_pi).astype(int))
+    r = np.where(quadrant % 2 == 1, (quadrant + 1) * half_pi - y, y - quadrant * half_pi)
+    r = np.minimum(np.maximum(r, 0.0), half_pi)
+    quadrant = np.where(x < 0.0, 3 - quadrant, quadrant)
+    # _solve_reduced's shortcuts, then each half in one lockstep solve
+    s = np.where(r >= half_pi, 1.0, 0.0)
+    lower = r <= 0.5 * half_pi
+    target = np.where(lower, r, half_pi - r)
+    tol = config.root_tol * np.minimum(1.0, target)
+    inner = (r > 0.0) & (r < half_pi)
+    s[inner & (tol == 0.0)] = r[inner & (tol == 0.0)]
+    one_minus_s = 1.0 - s
+    for upper, table in ((False, f_grid), (True, h_grid)):
+        m = inner & (tol > 0.0) & (lower != upper)
+        if m.any():
+            _, df, f = halves[upper]
+            w = _solve_lockstep(f, df, table, target[m], tol[m], config.max_iter)
+            v = power(w, pp.p_star) if upper else 1.0 - w
+            s[m], one_minus_s[m] = (1.0 - v, v) if upper else (w, v)
+    return tuple(v.reshape(shape) for v in (quadrant, r, s, one_minus_s))
+
+
 _CLAMP_THRESHOLD = -1e-15
 
 
@@ -283,6 +397,11 @@ def fractional_power(base: float, exponent: float) -> float:
     few ulps negative; such bases clamp to zero.  Anything below the clamp
     threshold is a genuine domain violation and raises.
     """
+    if isinstance(base, np.ndarray):
+        low = base[base < _CLAMP_THRESHOLD]
+        if low.size:
+            raise DomainError(f"fractional power base {float(low[0])!r} below clamp threshold")
+        return power(np.where(base < 0.0, 0.0, base), exponent)
     if base < 0.0:
         if base < _CLAMP_THRESHOLD:
             raise DomainError(
@@ -294,6 +413,8 @@ def fractional_power(base: float, exponent: float) -> float:
 
 def _signed_sin(quadrant: int, s: float) -> float:
     """The sine from |sin| = s: negative on quadrants 2 and 3, never -0.0."""
+    if isinstance(s, np.ndarray):
+        return np.where(quadrant < 2, s + 0.0, 0.0 - s)  # neither gives -0.0
     value = s if quadrant < 2 else -s
     return value if value != 0.0 else 0.0
 
@@ -301,6 +422,8 @@ def _signed_sin(quadrant: int, s: float) -> float:
 def _signed_cos(pp: ParamPair, quadrant: int, s: float, one_minus_s: float) -> float:
     """The cosine from |sin| = s, its base 1 - s**q formed cancellation-free
     from 1 - s; positive on quadrants 0 and 3, and never -0.0."""
+    if isinstance(s, np.ndarray):  # point by point: log1p(-1) raises where s = 0
+        return _each(functools.partial(_signed_cos, pp), quadrant, s, one_minus_s)
     if s <= 0.5:
         base = 1.0 - s**pp.q
     else:
@@ -337,6 +460,15 @@ def sin_cos(
 
 def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """F(s) for s in [0, 1]: the inverse of the sine on its principal branch."""
+    if isinstance(s, np.ndarray):
+        if not (s.dtype.kind in "iuf" and ((s >= 0.0) & (s <= 1.0)).all()):
+            raise DomainError("arcsin_pq requires every s in [0, 1]")
+        flat = np.asarray(s, dtype=float).ravel()
+        half_pi = 0.5 * pi_pq(pp, config)
+        out = np.zeros(flat.size)
+        nz = flat != 0.0
+        out[nz] = _arc_array(pp.p, pp.q, flat[nz], pp.q * _each(math.log, flat[nz]), half_pi)[0]
+        return out.reshape(s.shape)
     if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 <= s <= 1.0):
         raise DomainError(f"arcsin_pq requires s in [0, 1], got {s!r}")
     half_pi = 0.5 * pi_pq(pp, config)

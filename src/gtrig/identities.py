@@ -6,7 +6,9 @@ needs once and returns every side of the entry as a tuple; the entry's
 ``comparisons`` name the index pairs of that tuple that must agree (one pair,
 or a chain), so a sweep can report the maximum absolute deviation at one
 evaluation of each function value per point: 1 inversion for pythagorean,
-0 for duality-pi, 3 for lemniscate-add and 2 for every other entry.
+0 for duality-pi, 3 for lemniscate-add and 2 for every other entry.  A sweep
+passes ``sides`` the ndarray of all points of an instance at once, and gets
+arrays with the same bits as calls at each point would give.
 The vocabulary of identity ids is stable public API:
 
 ========================  =====================================================
@@ -57,6 +59,7 @@ from .functions import (
     ParamPair,
     fractional_power,
     pi_pq,
+    power,
     sin_cos,
     sin_pq,
 )
@@ -94,8 +97,8 @@ _TWO_ARG_GRID = 32  # per-axis uniform grid for two-argument identities
 class IdentitySpec:
     """One catalog entry: an id, fixed parameters, a validity interval, one
     evaluator ``sides(*args)`` that returns every side of the entry at a
-    point, and the index pairs of those sides to compare (more than one pair
-    for chained equalities)."""
+    point (or, given arrays, at each of their points), and the index pairs
+    of those sides to compare (more than one pair for chained equalities)."""
 
     identity_id: str
     params: Optional[ParamPair]
@@ -162,7 +165,7 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
     "dbl-2-4": (
         (2.0, 4.0),
         lambda pi: (-2.0 * pi, 2.0 * pi),
-        lambda s, c: 2.0 * s * c / (1.0 + s**4),
+        lambda s, c: 2.0 * s * c / (1.0 + power(s, 4)),
     ),
     "dbl-3:2-3": (
         (1.5, 3.0),
@@ -170,7 +173,7 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
         lambda s, c: (
             s
             * (1.0 + fractional_power(c, 1.5))
-            / (fractional_power(c, 0.5) * (1.0 + s**3))
+            / (fractional_power(c, 0.5) * (1.0 + power(s, 3)))
         ),
     ),
     "dbl-4:3-4": (
@@ -180,13 +183,13 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
             2.0
             * s
             * fractional_power(c, 1.0 / 3.0)
-            / math.sqrt(1.0 + 4.0 * s**4 * fractional_power(c, 4.0 / 3.0))
+            / np.sqrt(1.0 + 4.0 * power(s, 4) * fractional_power(c, 4.0 / 3.0))
         ),
     ),
     "dbl-2-3": (
         (2.0, 3.0),
         lambda pi: (0.0, 0.5 * pi),
-        lambda s, c: 4.0 * s * c * (3.0 + c) ** 3 / ((1.0 + c) * (8.0 + s**3) ** 2),
+        lambda s, c: 4.0 * s * c * power(3.0 + c, 3) / ((1.0 + c) * power(8.0 + power(s, 3), 2)),
     ),
     "dbl-4:3-2": (
         (4.0 / 3.0, 2.0),
@@ -196,7 +199,7 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
             * s
             * fractional_power(c, 1.0 / 3.0)
             * (1.0 + fractional_power(c, 4.0 / 3.0))
-            / (2.0 * fractional_power(c, 2.0 / 3.0) + s**2) ** 2
+            / power(2.0 * fractional_power(c, 2.0 / 3.0) + power(s, 2), 2)
         ),
     ),
 }
@@ -217,14 +220,17 @@ def _pythagorean(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
 
     def sides(x: float) -> tuple[float, float]:
         s, c = sin_cos(pp, x, config)
-        return abs(c) ** pp.p + abs(s) ** pp.q, 1.0
+        return power(abs(c), pp.p) + power(abs(s), pp.q), 1.0
 
     return IdentitySpec("pythagorean", pp, (-span, span), sides)
 
 
 def _half_power(c2: float, s2: float, p: float, expo: float) -> float:
     """((1 - c2)/2)**expo on the pair (2, p), with 1 - c2 written through s2 where
-    c2 > 0.5, so it stays accurate where c2 is within an ulp of 1; -c2 gives 1 + c2."""
+    c2 > 0.5, so it stays accurate where c2 is within an ulp of 1; -c2 gives 1 + c2.
+    Arrays are taken point by point."""
+    if isinstance(c2, np.ndarray):
+        return np.array([_half_power(*cs, p, expo) for cs in zip(c2.tolist(), s2.tolist())])
     u = 1.0 - c2
     if c2 > 0.5:
         u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
@@ -301,7 +307,7 @@ def _lemniscate_add(config: EvalConfig) -> IdentitySpec:
         sv, cv = sin_cos(pp, v, config)
         return (
             sin_pq(pp, u + v, config).value,
-            (su * cv + cu * sv) / (1.0 + su**2 * sv**2),
+            (su * cv + cu * sv) / (1.0 + power(su, 2) * power(sv, 2)),
         )
 
     return IdentitySpec("lemniscate-add", pp, (0.0, half), sides, arity=2)
@@ -327,7 +333,7 @@ def _proof_sin2x(config: EvalConfig) -> IdentitySpec:
 
     def sides(x: float) -> tuple[float, float]:
         s = sin_pq(pp24, 0.5 * pi24 - x, config).value
-        return sin_pq(pp432, 2.0 * x, config).value, fractional_power(1.0 - s**4, 0.5)
+        return sin_pq(pp432, 2.0 * x, config).value, fractional_power(1.0 - power(s, 4), 0.5)
 
     return IdentitySpec("proof-sin2x", pp432, (0.0, pi24), sides)
 
@@ -339,7 +345,7 @@ def _proof_f2x(config: EvalConfig) -> IdentitySpec:
 
     def sides(x: float) -> tuple[float, float]:
         g = sin_pq(pp24, x, config).value
-        return sin_pq(pp432, 2.0 * x, config).value, 2.0 * g / (1.0 + g**2)
+        return sin_pq(pp432, 2.0 * x, config).value, 2.0 * g / (1.0 + power(g, 2))
 
     return IdentitySpec(
         "proof-f2x", pp432, (0.0, pi24), sides, closed_lo=False, closed_hi=False
@@ -354,7 +360,7 @@ def _proof_gx(config: EvalConfig) -> IdentitySpec:
         gh = sin_pq(pp24, 0.5 * x, config).value
         return (
             sin_pq(pp24, x, config).value,
-            2.0 * gh * fractional_power(1.0 - gh**4, 0.5) / (1.0 + gh**4),
+            2.0 * gh * fractional_power(1.0 - power(gh, 4), 0.5) / (1.0 + power(gh, 4)),
         )
 
     return IdentitySpec("proof-gx", pp24, (0.0, half), sides)
@@ -369,10 +375,10 @@ def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
         g = sin_pq(pp24, x, config).value
         f = sin_pq(pp432, 2.0 * x, config).value
         return (
-            1.0 / g**2 + g**2,
-            4.0 / f**2 - 2.0,
-            1.0 / g**2 - g**2,
-            4.0 / f * fractional_power(1.0 / f**2 - 1.0, 0.5),
+            1.0 / power(g, 2) + power(g, 2),
+            4.0 / power(f, 2) - 2.0,
+            1.0 / power(g, 2) - power(g, 2),
+            4.0 / f * fractional_power(1.0 / power(f, 2) - 1.0, 0.5),
         )
 
     # Both sides grow like x**-2 toward 0, and the difference form has an
@@ -436,9 +442,11 @@ def identity_specs(
     if (p is not None and index != "p") or (pp is not None and index != "pq"):
         raise DomainError(f"{identity_id} takes no {'p' if p is not None else 'pp'}")
     if index == "p":
-        if p is not None:
-            return (build(float(p), config),)
-        return tuple(build(float(v), config) for v in p_panel)
+        ps = p_panel if p is None else (p,)
+        for v in ps:  # a real number, not a bool or str
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise DomainError(f"p must be a real number, got {v!r}")
+        return tuple(build(float(v), config) for v in ps)
     if index == "pq":
         if pp is not None:
             return (build(pp, config),)
@@ -521,7 +529,8 @@ def verify(
     """Sweep an identity over a uniform grid plus seeded random points and
     report the worst absolute deviation.
 
-    Parameterized identities sweep every panel instance in one pass.  The
+    Parameterized identities sweep every panel instance in one pass, and each
+    instance's ``sides`` is called once on the array of all its points.  The
     worst point is the maximum of (err, x) in lexicographic order, so it does
     not depend on evaluation order; a point where a compared side is not
     finite counts as err = inf like any other, and ``note`` names the first
@@ -547,22 +556,25 @@ def verify(
     note: Optional[str] = None
     for spec in specs:
         points = _sample_points(spec, samples, seed)
-        total += len(points)
-        for args in map(tuple, points.tolist()):
-            values = spec.sides(*args)
-            err = 0.0
-            for i, j in spec.comparisons:
-                lv, rv = values[i], values[j] + rhs_offset
-                if not (math.isfinite(lv) and math.isfinite(rv)):
-                    err = math.inf
-                    if note is None:
-                        note = f"non-finite value at {args!r}"
-                    break
-                err = max(err, abs(lv - rv))
-            if err > best_err or (err == best_err and args[0] > best_x):
-                best_err, best_x = float(err), args[0]
-                best_y = args[1] if spec.arity == 2 else None
-                best_lhs = float(values[spec.comparisons[0][0]])
+        n = len(points)
+        total += n
+        values = [np.broadcast_to(v, n) for v in spec.sides(*points.T)]
+        err = np.zeros(n)
+        finite = np.ones(n, dtype=bool)
+        for i, j in spec.comparisons:
+            lv, rv = values[i], values[j] + rhs_offset
+            finite &= np.isfinite(lv) & np.isfinite(rv)
+            with np.errstate(invalid="ignore", over="ignore"):
+                err = np.maximum(err, np.abs(lv - rv))
+        err[~finite] = math.inf
+        if note is None and not finite.all():
+            note = f"non-finite value at {tuple(points[np.argmin(finite)].tolist())!r}"
+        # the first of the points that are largest in (err, x)
+        k = np.lexsort((-np.arange(n), points[:, 0], err))[-1]
+        if err[k] > best_err or (err[k] == best_err and points[k, 0] > best_x):
+            best_err, best_x = float(err[k]), float(points[k, 0])
+            best_y = float(points[k, 1]) if spec.arity == 2 else None
+            best_lhs = float(values[spec.comparisons[0][0]][k])
     elapsed = time.perf_counter() - start
     passed = math.isfinite(best_err) and best_err <= tol and note is None
     rel = (

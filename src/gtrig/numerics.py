@@ -28,6 +28,7 @@ __all__ = [
     "log_gamma",
     "beta",
     "incomplete_beta",
+    "incomplete_beta_array",
     "agm",
     "solve_increasing",
 ]
@@ -217,6 +218,42 @@ def incomplete_beta(a: float, b: float, x: float, front: float) -> float:
             return front * h / a
     raise NonConvergenceError(
         f"incomplete Beta fraction did not converge for a={a!r}, b={b!r}, x={x!r}"
+    )
+
+
+def incomplete_beta_array(a: float, b: float, x: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """``incomplete_beta`` over 1-d arrays of x and front in lockstep: each
+    element runs the scalar recurrence, guards and stop test, and leaves the
+    loop at the step where it would, so its result is the scalar one's bits."""
+    ab, a1 = a + b, a + 1.0
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 - ab * x / a1
+    d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        for coef in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (ab + m) * x / ((a + m2) * (a1 + m2)),
+        ):
+            d = 1.0 + coef * d
+            d = np.where(np.abs(d) < _TINY, _TINY, d)
+            c = 1.0 + coef / c
+            c = np.where(np.abs(c) < _TINY, _TINY, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+        done = np.abs(delta - 1.0) <= _EPS
+        if done.any():
+            out[live[done]] = front[done] * h[done] / a
+            live, x, front, c, d, h = (v[~done] for v in (live, x, front, c, d, h))
+        if not live.size:
+            return out
+    raise NonConvergenceError(
+        f"incomplete Beta fraction did not converge for a={a!r}, b={b!r}, "
+        f"x={float(x[0])!r}"
     )
 
 

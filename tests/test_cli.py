@@ -207,6 +207,23 @@ class TestTable:
             i * 1e15 for i in range(10)
         ]
 
+    @pytest.mark.parametrize("fn, lo, hi", [("sin", -9.0, 9.0), ("cos", -9.0, 9.0), ("arcsin", 0.0, 1.0)])
+    def test_rows_across_chunks_match_scalar_calls(self, runner, fn, lo, hi):
+        # 2501 rows span three array chunks; each row is the scalar call's bits
+        step = (hi - lo) / 2500
+        result = run(
+            runner, "table", "--p", "2", "--q", "3", "--fn", fn,
+            "--from", repr(lo), "--to", repr(hi), "--step", repr(step),
+        )
+        assert result.exit_code == 0
+        rows = result.output.splitlines()[1:]
+        assert len(rows) == 2501
+        one = gtrig.cli._FUNCTIONS[fn]
+        pp = ParamPair(2.0, 3.0)
+        for i, line in enumerate(rows):
+            x = lo + i * step
+            assert line == f"{x!r},{one(pp, x)!r}"
+
     def test_unwritable_output_exits_3(self, runner, tmp_path):
         result = run(
             runner, "table", "--p", "2", "--q", "2", "--fn", "sin",

@@ -15,6 +15,7 @@ from gtrig.functions import (
     EvalConfig,
     FunctionValue,
     ParamPair,
+    _CLAMP_THRESHOLD,
     _arc,
     _pair_record,
     arcsin_pq,
@@ -366,6 +367,91 @@ class TestFractionalPower:
     def test_rejects_genuinely_negative(self):
         with pytest.raises(DomainError):
             fractional_power(-1e-3, 0.5)
+
+
+def _bits(value) -> str:
+    """A float's exact bits, so that 0.0 and -0.0 differ."""
+    return float(value).hex()
+
+
+class TestArrayPath:
+    """An ndarray argument gives, element by element, the bits a scalar call
+    gives."""
+
+    PAIRS = [ParamPair(p, q) for p, q in (*PQ_PANEL, (2.0, 2.0), (1.05, 1000.0), (1000.0, 1.05))]
+
+    @staticmethod
+    def _arguments(pp):
+        half = 0.5 * pi_pq(pp)
+        xs = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 1e-16, -3e-9]
+        for k in range(-12, 13):
+            xs += [k * half, np.nextafter(k * half, math.inf), np.nextafter(k * half, -math.inf)]
+        rng = np.random.default_rng(13)
+        xs += list(rng.uniform(-12.0 * half, 12.0 * half, 60))
+        return np.array(xs, dtype=float)
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_sin_cos_sin_cos_pq_match_scalar_calls(self, pp):
+        xs = self._arguments(pp)
+        s, c = sin_cos(pp, xs)
+        sv, cv = sin_pq(pp, xs), cos_pq(pp, xs)
+        for i, x in enumerate(xs.tolist()):
+            want_s, want_c = sin_pq(pp, x), cos_pq(pp, x)
+            assert (_bits(s[i]), _bits(c[i])) == tuple(map(_bits, sin_cos(pp, x))), x
+            for got, want in ((sv, want_s), (cv, want_c)):
+                assert _bits(got.value[i]) == _bits(want.value), x
+                assert got.quadrant[i] == want.quadrant, x
+                assert _bits(got.reduced_x[i]) == _bits(want.reduced_x), x
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_arcsin_matches_scalar_calls(self, pp):
+        rng = np.random.default_rng(14)
+        ss = np.concatenate([
+            [0.0, 5e-324, 1e-300, 0.5, 1.0, np.nextafter(1.0, 0.0)],
+            rng.uniform(0.0, 1.0, 40),
+            10.0 ** rng.uniform(-300.0, 0.0, 10),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 10),
+        ])
+        got = arcsin_pq(pp, ss)
+        assert [_bits(v) for v in got] == [_bits(arcsin_pq(pp, s)) for s in ss.tolist()]
+
+    @pytest.mark.parametrize("shape", [(2, 3), ()])
+    def test_shape_is_kept(self, shape):
+        xs = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        s, c = sin_cos(PP23, xs)
+        fv = cos_pq(PP23, xs)
+        for got in (s, c, fv.value, fv.quadrant, fv.reduced_x, arcsin_pq(PP23, np.asarray(abs(xs) / 3.0))):
+            assert got.shape == shape
+        last = float(xs.flat[-1])
+        assert (s.flat[-1], c.flat[-1]) == sin_cos(PP23, last)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.0**53, -2.0**60, math.inf])
+    def test_one_bad_element_raises(self, bad):
+        xs = np.array([0.5, bad, 1.0])
+        for fn in (sin_pq, cos_pq, sin_cos):
+            with pytest.raises(DomainError):
+                fn(PP23, xs)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, 1.5])
+    def test_arcsin_bad_element_raises(self, bad):
+        with pytest.raises(DomainError):
+            arcsin_pq(PP23, np.array([0.25, bad]))
+
+    def test_empty_array_gives_empty_arrays(self):
+        empty = np.array([])
+        s, c = sin_cos(PP23, empty)
+        fv = cos_pq(PP23, empty)
+        for arr in (s, c, fv.value, fv.quadrant, fv.reduced_x, arcsin_pq(PP23, empty)):
+            assert arr.shape == (0,)
+
+    def test_fractional_power_raises_and_clamps_as_scalar(self):
+        with pytest.raises(DomainError):
+            fractional_power(np.array([0.5, 2.0 * _CLAMP_THRESHOLD]), 0.5)
+        bases = np.array([0.5 * _CLAMP_THRESHOLD, -1e-16, -0.0, 0.0, 0.25])
+        for exponent in (0.5, 1.0, 1.0 / 3.0):
+            got = fractional_power(bases, exponent)
+            want = [fractional_power(b, exponent) for b in bases.tolist()]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 class TestExtensionInvariants:

@@ -166,6 +166,24 @@ class TestEvalIdentity:
         with pytest.raises(DomainError):
             verify(ident, samples=10, p_panel=(1.0,))
 
+    def test_exponent_given_as_a_string_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_identity("maf-sin", 0.5, p="3")
+
+    @pytest.mark.parametrize("p", [[3], True])
+    def test_exponent_that_is_not_a_real_number_is_a_domain_error(self, p):
+        with pytest.raises(DomainError):
+            eval_identity("maf-sin", 0.5, p=p)
+
+    def test_panel_entry_that_is_not_a_real_number_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            verify("maf-sin", samples=10, p_panel=(None,))
+
+    def test_exponent_may_be_a_numpy_real(self):
+        want = eval_identity("half-sin", 0.5, p=3.0)
+        assert eval_identity("half-sin", 0.5, p=np.int64(3)) == want
+        assert eval_identity("half-sin", 0.5, p=np.float64(3.0)) == want
+
     def test_maf_sin_left_side_is_the_outer_sine(self):
         k = 2.0 ** (2.0 / 3.0)
         for x in (0.1, 0.5, 1.0):
@@ -288,7 +306,8 @@ class TestVerifyEngine:
 
 
 class TestInversionsPerPoint:
-    """Each function value a sweep point needs is computed once."""
+    """Each function value a sweep point needs is computed once.  A sweep
+    inverts whole arrays, so every call counts the values it inverts."""
 
     EXPECTED = {"pythagorean": 1, "duality-pi": 0, "lemniscate-add": 3}
 
@@ -297,10 +316,10 @@ class TestInversionsPerPoint:
         calls = 0
 
         def counted(fn):
-            def wrapper(*args, **kwargs):
+            def wrapper(pp, x, *args, **kwargs):
                 nonlocal calls
-                calls += 1
-                return fn(*args, **kwargs)
+                calls += np.size(x)
+                return fn(pp, x, *args, **kwargs)
 
             return wrapper
 
@@ -308,6 +327,22 @@ class TestInversionsPerPoint:
         monkeypatch.setattr(identities, "sin_pq", counted(identities.sin_pq))
         rep = verify(identity_id, samples=20)
         assert calls == self.EXPECTED.get(identity_id, 2) * rep.samples
+
+
+class TestArraySides:
+    """A sweep hands each instance's ``sides`` its whole point array; every
+    side equals, point by point, the bits of a call at that point alone."""
+
+    @pytest.mark.parametrize("identity_id", VOCABULARY)
+    def test_array_sides_match_pointwise_sides(self, identity_id):
+        for spec in identity_specs(identity_id):
+            points = identities._sample_points(spec, 12, 5)
+            got = [np.broadcast_to(v, len(points)) for v in spec.sides(*points.T)]
+            for k, args in enumerate(points.tolist()):
+                want = spec.sides(*args)
+                assert len(got) == len(want)
+                for side, value in zip(got, want):
+                    assert float(side[k]).hex() == float(value).hex(), (spec, args)
 
 
 class TestCatalogPasses:

@@ -17,6 +17,7 @@ from gtrig.numerics import (
     agm,
     beta,
     incomplete_beta,
+    incomplete_beta_array,
     integrate_endpoint_singular,
     log_gamma,
     solve_increasing,
@@ -213,6 +214,21 @@ class TestIncompleteBeta:
         # far above the threshold (a + 1)/(a + b + 2) the fraction crawls
         with pytest.raises(NonConvergenceError):
             plain_incomplete_beta(1.0, 1e6, 0.9)
+
+    def test_array_form_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for a, b in ((1.0 / 3.0, 0.5), (0.5, 1.0 / 3.0), (1e-3, 0.999), (0.95, 0.001)):
+            x = rng.uniform(0.0, (a + 1.0) / (a + b + 2.0), 300)
+            x[:3] = (0.0, 5e-324, 1e-300)
+            front = x**a * (1.0 - x) ** b
+            got = incomplete_beta_array(a, b, x, front)
+            want = [incomplete_beta(a, b, *xf) for xf in zip(x.tolist(), front.tolist())]
+            assert got.tolist() == want
+        assert incomplete_beta_array(0.5, 0.5, np.array([]), np.array([])).shape == (0,)
+
+    def test_array_form_non_convergence_raises(self):
+        with pytest.raises(NonConvergenceError):
+            incomplete_beta_array(1.0, 1e6, np.array([0.1, 0.9]), np.array([1.0, 1.0]))
 
 
 class TestAgm:

@@ -41,7 +41,8 @@ _TABLE_CHUNK = 1024  # rows a table evaluates in one array call
 # --format -> (head, row from x and its value, separator, tail) of a streamed table
 _TABLE_FORMATS = {
     "csv": ("x,value\n", lambda x, v: f"{x!r},{v!r}\n", "", ""),
-    "json": ("[", lambda x, v: json.dumps({"x": x, "value": v}), ", ", "]\n"),
+    # json.dumps's bytes for finite floats, which every table value is
+    "json": ("[", lambda x, v: f'{{"x": {x!r}, "value": {v!r}}}', ", ", "]\n"),
 }
 
 
@@ -127,7 +128,7 @@ def cmd_table(
         raise GtrigError("arcsin tables require [from, to] within [0, 1]")
     head, row, sep, tail = _TABLE_FORMATS[fmt]
     n = int((stop - start) / step + 1e-9) + 1
-    lines = (row(x, v) for x, v in _table_rows(_FUNCTIONS[fn], pp, start, step, n))
+    lines = (row(x, v) for x, v in _table_rows(_FUNCTIONS[fn], pp, start, stop, step, n))
     first = next(lines)  # before --out is opened: a pair that fails leaves it as it was
     sink = nullcontext(sys.stdout)
     if out is not None:
@@ -140,11 +141,12 @@ def cmd_table(
         handle.flush()  # a closed stdout fails here, inside click's broken-pipe rule
 
 
-def _table_rows(fn, pp: ParamPair, start: float, step: float, n: int):
-    """(x, fn(pp, x)) for x = start + i*step, i < n, as Python floats: each
-    chunk of rows in one array call, bit for bit what scalar calls give."""
+def _table_rows(fn, pp: ParamPair, start: float, stop: float, step: float, n: int):
+    """(x, fn(pp, x)) for x = min(start + i*step, stop), i < n, as Python
+    floats: each chunk of rows in one array call, bit for bit what scalar
+    calls give.  The last row's start + i*step may round past stop."""
     for i in range(0, n, _TABLE_CHUNK):
-        xs = start + np.arange(i, min(i + _TABLE_CHUNK, n)) * step
+        xs = np.minimum(start + np.arange(i, min(i + _TABLE_CHUNK, n)) * step, stop)
         try:
             values = fn(pp, xs).tolist()
         except GtrigError:

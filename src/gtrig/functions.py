@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,17 +190,14 @@ def _arc_array(p: float, q: float, t: np.ndarray, q_ln_t: np.ndarray, half_pi: f
 
 @functools.lru_cache(maxsize=256)
 def _pair_record(p: float, q: float, quad_tol: float) -> tuple:
-    """What evaluations need per pair: (pi_pq/2, f_grid, h_grid, halves).
+    """What evaluations need per pair: pi_pq/2 and the ``_half`` records of
+    the lower and the upper half of [0, pi_pq/2].
 
     pi_pq/2 = F(1) is integrated by tanh-sinh quadrature, independently of
     the incomplete Beta fraction that gives F below 1, in the reflected
     variable u = 1 - t, which puts the singularity at a zero lower endpoint.
-    f_grid holds F at the _GRID nodes and h_grid the tail at v = node**p_star:
-    coarse monotone tables that only seed tight root brackets (the solves stay
-    exact to tolerance).  halves holds the ``_half`` functions of the lower
-    and the upper half, made once per pair.  The cache is bounded so that
-    memory stays flat over many pairs; a pair pushed out is recomputed to the
-    same values.
+    The cache is bounded so that memory stays flat over many pairs; a pair
+    pushed out is recomputed to the same values.
     """
     inv_p = -1.0 / p
 
@@ -210,10 +208,7 @@ def _pair_record(p: float, q: float, quad_tol: float) -> tuple:
     # check then raises a typed error, not a numpy warning
     with np.errstate(over="ignore"):
         half_pi = integrate_endpoint_singular(f, 0.0, 1.0, quad_tol).value
-    halves = (_half(p, q, half_pi, False), _half(p, q, half_pi, True))
-    f_grid = [halves[0][0](s) for s in _GRID[1:-1]]
-    h_grid = [halves[1][0](w) for w in _GRID[1:-1]]
-    return half_pi, (0.0, *f_grid, half_pi), (0.0, *h_grid, half_pi), halves
+    return half_pi, _half(p, q, half_pi, False), _half(p, q, half_pi, True)
 
 
 def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -221,10 +216,16 @@ def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
 
 
-def _half(p: float, q: float, half_pi: float, upper: bool):
-    """(f, df, f over arrays) that one half of [0, half_pi] is solved in: F in
-    s on the lower half, and on the upper the tail H(w**p_star) in w, which
-    straightens out the infinite derivative of F at s = 1."""
+_Half = namedtuple("_Half", "table f df f_array finish")
+
+
+def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
+    """One half of [0, half_pi], solved in a variable w whose target rises
+    from 0 to half_pi over [0, 1]: F(s) = r on the lower half, and on the upper
+    the tail H(w**p_star) = half_pi - r, which straightens out F's infinite
+    slope at s = 1 and keeps 1 - s, so the cosine, exact to the quarter period.
+    The record holds the target on _GRID (a table that only seeds brackets), f
+    and df at a float, f over a 1-d array, and finish: (s, 1 - s) from a root."""
     if not upper:
 
         def f(s: float) -> float:
@@ -234,68 +235,39 @@ def _half(p: float, q: float, half_pi: float, upper: bool):
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-        return f, df, lambda s: _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0]
-    pstar = p / (p - 1.0)
+        def f_array(s: np.ndarray) -> np.ndarray:
+            return _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0]
 
-    def f(w: float) -> float:
-        v = w**pstar
-        return _arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1]
+        def finish(s):
+            return s, 1.0 - s
 
-    def df(w: float) -> float:
-        v = w**pstar
-        base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
-        if base <= 0.0 or w <= 0.0:
-            return math.inf
-        return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
+    else:
+        pstar = p / (p - 1.0)
 
-    def f_array(w: np.ndarray) -> np.ndarray:
-        v = power(w, pstar)
-        return _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)[1]
+        def f(w: float) -> float:
+            v = w**pstar
+            return _arc(p, q, 1.0 - v, q * math.log1p(-v), half_pi)[1]
 
-    return f, df, f_array
+        def df(w: float) -> float:
+            v = w**pstar
+            base = 1.0 if v >= 1.0 else -math.expm1(q * math.log1p(-v))
+            if base <= 0.0 or w <= 0.0:
+                return math.inf
+            return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
 
+        def f_array(w: np.ndarray) -> np.ndarray:
+            v = power(w, pstar)
+            return _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)[1]
 
-def _solve_reduced(
-    pp: ParamPair, r: float, record: tuple, config: EvalConfig
-) -> tuple[float, float]:
-    """Invert F on the reduced interval: return (s, 1 - s) with F(s) = r.
+        def finish(w):
+            v = power(w, pstar)
+            return 1.0 - v, v
 
-    The complement 1 - s is solved for directly when r lies in the upper half
-    of [0, half_pi], in the variable v = w**p_star; this keeps full precision
-    in the cosine magnitude (1 - s**q)**(1/p) arbitrarily close to the quarter
-    period.  Residual tolerances scale with the target so small values keep
-    relative accuracy.
-    """
-    half_pi, f_grid, h_grid, halves = record
-    if r <= 0.0:
-        return 0.0, 1.0
-    if r >= half_pi:
-        return 1.0, 0.0
-
-    lower = r <= 0.5 * half_pi
-    # the upper half solves H(w**p_star) = half_pi - r, a subtraction that is
-    # exact there since r >= half_pi / 2
-    table, target = (f_grid, r) if lower else (h_grid, half_pi - r)
-    f, df, _ = halves[0 if lower else 1]
-
-    tol = config.root_tol * min(1.0, target)
-    if tol == 0.0:
-        # EvalConfig keeps root_tol * 1e-16 > 0, so r < 1e-16 on the lower
-        # half: there F(s) = s + s**(q+1)/(p(q+1)) + ... rounds to s
-        return r, 1.0 - r
-    j = min(max(bisect.bisect_right(table, target) - 1, 0), len(_GRID) - 2)
-    x = solve_increasing(
-        f, _GRID[j], _GRID[j + 1], target, deriv=df, tol=tol,
-        max_iter=config.max_iter, f_lo=table[j], f_hi=table[j + 1],
-    )
-    if lower:
-        return x, 1.0 - x
-    v = x**pp.p_star
-    return 1.0 - v, v
+    return _Half((0.0, *map(f, _GRID[1:-1]), half_pi), f, df, f_array, finish)
 
 
 def _solve_lockstep(f, df, table, target, tol, max_iter) -> np.ndarray:
-    """``solve_increasing`` as ``_solve_reduced`` calls it, for each element of
+    """``solve_increasing`` as ``_evaluate`` calls it, for each element of
     a 1-d ``target`` at once; ``f`` maps arrays, ``df`` floats.  Each element
     takes the steps of its own scalar solve and leaves as it stops, so every
     root equals the scalar one bit for bit."""
@@ -334,16 +306,22 @@ def _solve_lockstep(f, df, table, target, tol, max_iter) -> np.ndarray:
     raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
 
 
+_REAL = (float, int, np.integer, np.floating)  # the array path's dtype kinds "iuf"
+
+
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
     """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
     if isinstance(x, np.ndarray):
         return _evaluate_array(pp, x, config)
+    if type(x) is not float:  # a numpy float16 would overflow at 2**53 below
+        if not isinstance(x, _REAL) or type(x) is bool:
+            raise DomainError(f"argument must be a real number, got {x!r}")
+        x = x if isinstance(x, int) else float(x)
     # from 2**53 on, doubles lie >= 2 apart (up to half a period, pi_pq >= 2),
     # so no digit of a value would mean anything; nan and +-inf fail as well
     if not abs(x) < 2.0**53:
         raise DomainError(f"argument must satisfy |x| < 2**53, got {x!r}")
-    record = _pair_record(pp.p, pp.q, config.quad_tol)
-    half_pi = record[0]
+    half_pi, lower, upper = _pair_record(pp.p, pp.q, config.quad_tol)
     y = math.fmod(abs(x), 4.0 * half_pi)  # exact, so -x folds as x does
     quadrant = min(3, int(y / half_pi))
     # odd quadrants run down from the next quarter-period point, even ones up
@@ -351,7 +329,21 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
     r = min(max(r, 0.0), half_pi)
     if x < 0.0:  # the sine is odd: mirror the quadrant, keep r
         quadrant = 3 - quadrant
-    s, one_minus_s = _solve_reduced(pp, r, record, config)
+    # the upper half's target half_pi - r is exact, as r >= half_pi / 2
+    (table, f, df, _, finish), target = (lower, r) if r <= 0.5 * half_pi else (upper, half_pi - r)
+    tol = config.root_tol * min(1.0, target)
+    if tol == 0.0:
+        # the target is 0 at r = 0 and r = half_pi, where w = 0 is exact; else
+        # EvalConfig keeps root_tol * 1e-16 > 0, so r < 1e-16 on the lower
+        # half: there F(s) = s + s**(q+1)/(p(q+1)) + ... rounds to s
+        w = target
+    else:
+        j = min(max(bisect.bisect_right(table, target) - 1, 0), len(_GRID) - 2)
+        w = solve_increasing(
+            f, _GRID[j], _GRID[j + 1], target, deriv=df, tol=tol,
+            max_iter=config.max_iter, f_lo=table[j], f_hi=table[j + 1],
+        )
+    s, one_minus_s = finish(w)
     return quadrant, r, s, one_minus_s
 
 
@@ -363,27 +355,22 @@ def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
     bad = ~(np.abs(x) < 2.0**53)
     if bad.any():
         raise DomainError(f"argument must satisfy |x| < 2**53, got {x[bad][0].item()!r}")
-    half_pi, f_grid, h_grid, halves = _pair_record(pp.p, pp.q, config.quad_tol)
+    half_pi, *halves = _pair_record(pp.p, pp.q, config.quad_tol)
     y = np.fmod(np.abs(x), 4.0 * half_pi)
     quadrant = np.minimum(3, (y / half_pi).astype(int))
     r = np.where(quadrant % 2 == 1, (quadrant + 1) * half_pi - y, y - quadrant * half_pi)
     r = np.minimum(np.maximum(r, 0.0), half_pi)
     quadrant = np.where(x < 0.0, 3 - quadrant, quadrant)
-    # _solve_reduced's shortcuts, then each half in one lockstep solve
-    s = np.where(r >= half_pi, 1.0, 0.0)
     lower = r <= 0.5 * half_pi
     target = np.where(lower, r, half_pi - r)
     tol = config.root_tol * np.minimum(1.0, target)
-    inner = (r > 0.0) & (r < half_pi)
-    s[inner & (tol == 0.0)] = r[inner & (tol == 0.0)]
-    one_minus_s = 1.0 - s
-    for upper, table in ((False, f_grid), (True, h_grid)):
-        m = inner & (tol > 0.0) & (lower != upper)
-        if m.any():
-            _, df, f = halves[upper]
-            w = _solve_lockstep(f, df, table, target[m], tol[m], config.max_iter)
-            v = power(w, pp.p_star) if upper else 1.0 - w
-            s[m], one_minus_s[m] = (1.0 - v, v) if upper else (w, v)
+    s, one_minus_s = np.empty_like(r), np.empty_like(r)
+    # each half in one lockstep solve; a zero tol keeps w = target, as in _evaluate
+    for (table, _, df, f, finish), m in zip(halves, (lower, ~lower)):
+        w, live = target[m], tol[m] > 0.0
+        if live.any():
+            w[live] = _solve_lockstep(f, df, table, w[live], tol[m][live], config.max_iter)
+        s[m], one_minus_s[m] = finish(w)
     return tuple(v.reshape(shape) for v in (quadrant, r, s, one_minus_s))
 
 
@@ -464,17 +451,15 @@ def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> f
         if not (s.dtype.kind in "iuf" and ((s >= 0.0) & (s <= 1.0)).all()):
             raise DomainError("arcsin_pq requires every s in [0, 1]")
         flat = np.asarray(s, dtype=float).ravel()
-        half_pi = 0.5 * pi_pq(pp, config)
+        lower = _pair_record(pp.p, pp.q, config.quad_tol)[1]
         out = np.zeros(flat.size)
         nz = flat != 0.0
-        out[nz] = _arc_array(pp.p, pp.q, flat[nz], pp.q * _each(math.log, flat[nz]), half_pi)[0]
+        out[nz] = lower.f_array(flat[nz])
         return out.reshape(s.shape)
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 <= s <= 1.0):
+    if not (isinstance(s, _REAL) and type(s) is not bool and 0.0 <= s <= 1.0):
         raise DomainError(f"arcsin_pq requires s in [0, 1], got {s!r}")
-    half_pi = 0.5 * pi_pq(pp, config)
-    if s == 0.0:
-        return 0.0
-    return _arc(pp.p, pp.q, float(s), pp.q * math.log(s), half_pi)[0]
+    lower = _pair_record(pp.p, pp.q, config.quad_tol)[1]
+    return lower.f(float(s)) if s != 0.0 else 0.0
 
 
 def ode_residual(

@@ -548,16 +548,10 @@ def verify(
     if not specs:
         raise DomainError(f"{identity_id} has no instances: its panel is empty")
     start = time.perf_counter()
-    total = 0
-    best_err = -math.inf
-    best_x = math.nan
-    best_y: Optional[float] = None
-    best_lhs = math.nan
-    note: Optional[str] = None
+    parts = []
     for spec in specs:
         points = _sample_points(spec, samples, seed)
         n = len(points)
-        total += n
         values = [np.broadcast_to(v, n) for v in spec.sides(*points.T)]
         err = np.zeros(n)
         finite = np.ones(n, dtype=bool)
@@ -567,14 +561,16 @@ def verify(
             with np.errstate(invalid="ignore", over="ignore"):
                 err = np.maximum(err, np.abs(lv - rv))
         err[~finite] = math.inf
-        if note is None and not finite.all():
-            note = f"non-finite value at {tuple(points[np.argmin(finite)].tolist())!r}"
-        # the first of the points that are largest in (err, x)
-        k = np.lexsort((-np.arange(n), points[:, 0], err))[-1]
-        if err[k] > best_err or (err[k] == best_err and points[k, 0] > best_x):
-            best_err, best_x = float(err[k]), float(points[k, 0])
-            best_y = float(points[k, 1]) if spec.arity == 2 else None
-            best_lhs = float(values[spec.comparisons[0][0]][k])
+        parts.append((points, err, finite, values[spec.comparisons[0][0]]))
+    # every instance's points in one sweep, in evaluation order
+    points, err, finite, lhs = map(np.concatenate, zip(*parts))
+    # the first of the points that are largest in (err, x)
+    k = np.lexsort((-np.arange(len(err)), points[:, 0], err))[-1]
+    best_err, best_x, best_lhs = float(err[k]), float(points[k, 0]), float(lhs[k])
+    best_y = float(points[k, 1]) if specs[0].arity == 2 else None
+    note = None
+    if not finite.all():
+        note = f"non-finite value at {tuple(points[np.argmin(finite)].tolist())!r}"
     elapsed = time.perf_counter() - start
     passed = math.isfinite(best_err) and best_err <= tol and note is None
     rel = (
@@ -584,7 +580,7 @@ def verify(
     )
     return IdentityReport(
         identity_id=identity_id,
-        samples=total,
+        samples=len(err),
         max_abs_err=best_err,
         argmax_x=best_x,
         tol=tol,

@@ -121,6 +121,34 @@ class TestTable:
         assert set(records[0]) == {"x", "value"}
         assert records[0]["value"] == 1.0
 
+    @pytest.mark.parametrize(
+        "fn, start, stop", [("sin", "-3", "3"), ("cos", "-3", "3"), ("arcsin", "0", "1")]
+    )
+    def test_json_rows_are_the_bytes_of_json_dumps(self, runner, fn, start, stop):
+        result = run(
+            runner, "table", "--p", "2", "--q", "3", "--fn", fn,
+            "--from", start, "--to", stop, "--step", "0.013", "--format", "json",
+        )
+        assert result.exit_code == 0
+        records = json.loads(result.output)
+        assert len(records) > 50
+        assert result.output == "[" + ", ".join(map(json.dumps, records)) + "]\n"
+
+    @pytest.mark.parametrize(
+        "fn, start, stop, step, rows",
+        [("arcsin", "0.09", "1", "0.07", 14), ("sin", "0", "1.2", "0.2", 7)],
+    )
+    def test_last_row_is_clamped_to_to(self, runner, fn, start, stop, step, rows):
+        # from + i*step rounds past --to on the last row
+        result = run(
+            runner, "table", "--p", "2", "--q", "3", "--fn", fn,
+            "--from", start, "--to", stop, "--step", step,
+        )
+        assert result.exit_code == 0
+        lines = result.output.strip().split("\n")[1:]
+        assert len(lines) == rows
+        assert float(lines[-1].split(",")[0]) == float(stop)
+
     def test_step_exceeding_range_exits_2(self, runner):
         result = run(
             runner, "table", "--p", "2", "--q", "2", "--fn", "sin",

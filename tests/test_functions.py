@@ -172,6 +172,31 @@ class TestArcsin:
             arcsin_pq(PP23, bad)
 
 
+_ALL_FUNCTIONS = [sin_pq, cos_pq, sin_cos, arcsin_pq]
+
+
+def _plain(out):
+    return out.value if isinstance(out, FunctionValue) else out
+
+
+class TestScalarArgumentRule:
+    """A scalar argument is a Python int or float, or a numpy integer or
+    floating scalar, but not a bool: the kinds the array path takes as dtypes."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.complex128(1 + 2j), 1 + 0j, "1", [0.5], None, True, np.bool_(False)]
+    )
+    @pytest.mark.parametrize("fn", _ALL_FUNCTIONS)
+    def test_other_kinds_raise_domain_error(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(PP22, bad)
+
+    @pytest.mark.parametrize("good", [np.float32(0.5), np.int64(1), np.uint8(0), np.float16(0.25), 1])
+    @pytest.mark.parametrize("fn", _ALL_FUNCTIONS)
+    def test_integer_and_numpy_scalars_evaluate_as_their_float(self, fn, good):
+        assert _plain(fn(PP23, good)) == _plain(fn(PP23, float(good)))
+
+
 def _log_uniform(rng, lo, hi):
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 

@@ -58,6 +58,31 @@ _P_MIN = 1.0
 _P_MAX = 1000.0
 
 
+# The argument rule of every entry point of gtrig.functions and gtrig.identities.
+def _real(value, name: str = "argument") -> float:
+    """``value`` as a Python float if it is a Python or numpy int or float, not a bool."""
+    if isinstance(value, (float, int, np.integer, np.floating)) and type(value) is not bool:
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must lie within the float range") from None
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(values: np.ndarray, name: str = "argument") -> np.ndarray:
+    """``values`` as float64 if its dtype kind is i, u or f (those of ``_real``)."""
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real array, got dtype {values.dtype}")
+    return np.asarray(values, dtype=float)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as a Python int if it is a Python or numpy int >= least, not a bool."""
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and value >= least:
+        return int(value)
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParamPair:
     """A validated exponent pair (p, q) indexing one generalized sine/cosine."""
@@ -66,13 +91,11 @@ class ParamPair:
     q: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p", self.p), ("q", self.q)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite real, got {value!r}")
+        for name in ("p", "q"):
+            value = _real(getattr(self, name), name)
             if not (_P_MIN < value <= _P_MAX):
-                raise DomainError(
-                    f"{name} must exceed 1 (and be at most {_P_MAX:g}), got {value!r}"
-                )
+                raise DomainError(f"{name} must exceed 1 and be at most {_P_MAX:g}, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def p_star(self) -> float:
@@ -105,12 +128,12 @@ class EvalConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("quad_tol", "root_tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter", 1))
         # the root solve scales root_tol by targets down to 1e-16
-        tols = (self.quad_tol, self.root_tol * 1e-16)
-        if not all(0.0 < tol < math.inf for tol in tols):
+        if not (0.0 < self.quad_tol < math.inf and 0.0 < self.root_tol * 1e-16 < math.inf):
             raise DomainError("tolerances must be finite and > 0, and root_tol * 1e-16 > 0")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -306,17 +329,11 @@ def _solve_lockstep(f, df, table, target, tol, max_iter) -> np.ndarray:
     raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
 
 
-_REAL = (float, int, np.integer, np.floating)  # the array path's dtype kinds "iuf"
-
-
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
     """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
     if isinstance(x, np.ndarray):
         return _evaluate_array(pp, x, config)
-    if type(x) is not float:  # a numpy float16 would overflow at 2**53 below
-        if not isinstance(x, _REAL) or type(x) is bool:
-            raise DomainError(f"argument must be a real number, got {x!r}")
-        x = x if isinstance(x, int) else float(x)
+    x = x if type(x) is float else _real(x)
     # from 2**53 on, doubles lie >= 2 apart (up to half a period, pi_pq >= 2),
     # so no digit of a value would mean anything; nan and +-inf fail as well
     if not abs(x) < 2.0**53:
@@ -349,9 +366,7 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
 
 def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
     """``_evaluate`` over an ndarray, by the same steps, on its flattened copy."""
-    if x.dtype.kind not in "iuf":
-        raise DomainError(f"argument must be a real array, got dtype {x.dtype}")
-    shape, x = x.shape, np.asarray(x, dtype=float).ravel()
+    shape, x = x.shape, _real_array(x).ravel()
     bad = ~(np.abs(x) < 2.0**53)
     if bad.any():
         raise DomainError(f"argument must satisfy |x| < 2**53, got {x[bad][0].item()!r}")
@@ -448,18 +463,19 @@ def sin_cos(
 def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """F(s) for s in [0, 1]: the inverse of the sine on its principal branch."""
     if isinstance(s, np.ndarray):
-        if not (s.dtype.kind in "iuf" and ((s >= 0.0) & (s <= 1.0)).all()):
+        flat = _real_array(s, "s").ravel()
+        if not ((flat >= 0.0) & (flat <= 1.0)).all():
             raise DomainError("arcsin_pq requires every s in [0, 1]")
-        flat = np.asarray(s, dtype=float).ravel()
         lower = _pair_record(pp.p, pp.q, config.quad_tol)[1]
         out = np.zeros(flat.size)
         nz = flat != 0.0
         out[nz] = lower.f_array(flat[nz])
         return out.reshape(s.shape)
-    if not (isinstance(s, _REAL) and type(s) is not bool and 0.0 <= s <= 1.0):
+    s = s if type(s) is float else _real(s, "s")
+    if not 0.0 <= s <= 1.0:
         raise DomainError(f"arcsin_pq requires s in [0, 1], got {s!r}")
     lower = _pair_record(pp.p, pp.q, config.quad_tol)[1]
-    return lower.f(float(s)) if s != 0.0 else 0.0
+    return lower.f(s) if s != 0.0 else 0.0
 
 
 def ode_residual(
@@ -472,17 +488,16 @@ def ode_residual(
     difference approximation of (|u'|**(p-2) u')' plus the right-hand side;
     the result is O(h**2) on the interior of the first quarter period.
 
-    The argument must stay at least 10 h away from 0 and pi_pq/2, where
-    |u'|**(p-2) degenerates for p < 2 (and |u|**(q-2) for q < 2).
+    x is a real scalar, not an array, at least 10 h away from 0 and pi_pq/2,
+    where |u'|**(p-2) degenerates for p < 2 (and |u|**(q-2) for q < 2).
     """
+    x, h = _real(x, "x"), _real(h, "h")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"h must be positive, got {h!r}")
     half_pi = 0.5 * pi_pq(pp, config)
     margin = 10.0 * h
     if not (margin < x < half_pi - margin):
-        raise DomainError(
-            f"x={x!r} outside safe interval ({margin!r}, {half_pi - margin!r})"
-        )
+        raise DomainError(f"x={x!r} outside safe interval ({margin!r}, {half_pi - margin!r})")
     p, q = pp.p, pp.q
 
     def flux(t: float) -> float:

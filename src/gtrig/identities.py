@@ -57,6 +57,8 @@ from .functions import (
     DEFAULT_CONFIG,
     EvalConfig,
     ParamPair,
+    _integer,
+    _real,
     fractional_power,
     pi_pq,
     power,
@@ -441,12 +443,10 @@ def identity_specs(
     index, build = _CATALOG[identity_id]
     if (p is not None and index != "p") or (pp is not None and index != "pq"):
         raise DomainError(f"{identity_id} takes no {'p' if p is not None else 'pp'}")
+    if pp is not None and not isinstance(pp, ParamPair):
+        raise DomainError(f"pp must be a ParamPair, got {pp!r}")
     if index == "p":
-        ps = p_panel if p is None else (p,)
-        for v in ps:  # a real number, not a bool or str
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-                raise DomainError(f"p must be a real number, got {v!r}")
-        return tuple(build(float(v), config) for v in ps)
+        return tuple(build(_real(v, "p"), config) for v in (p_panel if p is None else (p,)))
     if index == "pq":
         if pp is not None:
             return (build(pp, config),)
@@ -473,22 +473,18 @@ def eval_identity(
     )[0]
 
     lo, hi = spec.domain
-    args: tuple[float, ...]
-    if spec.arity == 2:
-        if y is None:
-            raise DomainError(f"{identity_id} takes two arguments")
-        if not (lo <= x <= hi and lo <= y <= hi and x + y <= hi):
-            raise DomainError(f"({x!r}, {y!r}) outside the two-argument domain")
-        args = (x, y)
-    else:
-        if y is not None:
-            raise DomainError(f"{identity_id} takes a single argument")
-        inside = (lo < x if not spec.closed_lo else lo <= x) and (
-            x < hi if not spec.closed_hi else x <= hi
-        )
-        if not inside:
-            raise DomainError(f"x={x!r} outside domain ({lo!r}, {hi!r})")
+    if (y is None) != (spec.arity == 1):
+        raise DomainError(f"{identity_id} takes {spec.arity} argument(s)")
+    x = _real(x, "x")
+    if y is None:
         args = (x,)
+        inside = (lo <= x if spec.closed_lo else lo < x) and (x <= hi if spec.closed_hi else x < hi)
+    else:
+        y = _real(y, "y")
+        args = (x, y)
+        inside = lo <= x <= hi and lo <= y <= hi and x + y <= hi
+    if not inside:
+        raise DomainError(f"{args!r} outside the domain ({lo!r}, {hi!r})")
     values = spec.sides(*args)
     i, j = spec.comparisons[0]
     return float(values[i]), float(values[j])
@@ -537,14 +533,11 @@ def verify(
     such point.  ``rhs_offset`` perturbs every right side by a constant; it
     exists so the engine's sensitivity is itself testable.
     """
-    for name, value, least in (("samples", samples, 2), ("seed", seed, 0)):
-        if not (isinstance(value, (int, np.integer)) and value >= least):
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    samples, seed = _integer(samples, "samples", 2), _integer(seed, "seed", 0)
+    tol, rhs_offset = _real(tol, "tol"), _real(rhs_offset, "rhs_offset")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    specs = identity_specs(
-        identity_id, p_panel=p_panel, pq_panel=pq_panel, config=config
-    )
+    specs = identity_specs(identity_id, p_panel=p_panel, pq_panel=pq_panel, config=config)
     if not specs:
         raise DomainError(f"{identity_id} has no instances: its panel is empty")
     start = time.perf_counter()

@@ -1,6 +1,8 @@
 """Tests for the generalized sine/cosine family and its extension rules."""
 
 import math
+import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,6 +73,21 @@ class TestParamPair:
     def test_rejects_bad_exponents(self, p, q):
         with pytest.raises(DomainError):
             ParamPair(p, q)
+
+
+class TestNumpyScalarExponents:
+    def test_stored_as_python_floats(self):
+        pp = ParamPair(np.float32(2.5), np.int64(3))
+        assert pp == ParamPair(2.5, 3.0)
+        assert type(pp.p) is float and type(pp.q) is float
+
+    def test_cached_record_is_the_float_pairs(self):
+        # a pair evaluated first fills the record that every equal pair reads
+        _pair_record.cache_clear()
+        sin_cos(ParamPair(np.float32(2.5), np.int64(3)), 0.7)
+        got = sin_cos(ParamPair(2.5, 3.0), 0.7)
+        assert [type(v) for v in got] == [float, float]
+        assert [_bits(v) for v in got] == [_bits(0.6759777789548411), _bits(0.8626210441237256)]
 
 
 class TestEvalConfig:
@@ -634,3 +651,29 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda x: sin_pq(pp, x).value, xs))
         assert got == expected
+
+    def test_threads_racing_on_new_pairs_compute_identical_values(self):
+        pairs = [ParamPair(1.37, 2.71), ParamPair(2.93, 1.61), ParamPair(7.7, 5.3)]
+        xs = [-6.1, -0.4, 0.0, 0.3, 1.2, 2.9, 9.5]
+        threads = 4
+        barrier = threading.Barrier(threads)
+
+        def run(start=None) -> list[str]:
+            if start is not None:
+                start.wait(timeout=60)
+            # the array path first on one pair, the scalar path first on the others
+            values = [v for a in sin_cos(pairs[0], np.array(xs)) for v in a.tolist()]
+            values += [v for pp in pairs for x in xs for v in sin_cos(pp, x)]
+            return [_bits(v) for v in values]
+
+        _pair_record.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside each pair's set-up too
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                raced = list(pool.map(run, [barrier] * threads))
+        finally:
+            sys.setswitchinterval(interval)
+        _pair_record.cache_clear()
+        alone = run()
+        assert raced == [alone] * threads

@@ -8,7 +8,7 @@ import pytest
 
 from gtrig import identities
 from gtrig.errors import DomainError, UnknownIdentityError
-from gtrig.functions import ParamPair, cos_pq, pi_pq, sin_pq
+from gtrig.functions import EvalConfig, ParamPair, cos_pq, ode_residual, pi_pq, sin_pq
 from gtrig.identities import (
     P_PANEL,
     PQ_PANEL,
@@ -197,6 +197,44 @@ class TestEvalIdentity:
             values = spec.sides(float(x))
             for i, j in spec.comparisons:
                 assert abs(values[i] - values[j]) <= 1e-9
+
+    @pytest.mark.parametrize("call", [identity_specs, eval_identity])
+    def test_pp_that_is_not_a_param_pair_is_a_domain_error(self, call):
+        args = ("pythagorean",) if call is identity_specs else ("pythagorean", 0.5)
+        with pytest.raises(DomainError):
+            call(*args, pp=(2.0, 3.0))
+
+
+PP23 = ParamPair(2.0, 3.0)
+_NOT_REAL = ["a", 1 + 0j, None, np.array([0.3]), np.array([0.3, 0.4])]
+
+
+class TestArgumentRule:
+    """Every entry point rejects an input that is not a real number (a bool,
+    a string, a complex, None, an array where a scalar is due, an int beyond
+    the float range) with DomainError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda v=v: ode_residual(PP23, v) for v in _NOT_REAL]
+        + [lambda v=v: eval_identity("dbl-2-2", v) for v in _NOT_REAL]
+        + [
+            lambda: eval_identity("lemniscate-add", 0.1, "a"),
+            lambda: EvalConfig(max_iter=True),
+            lambda: EvalConfig(quad_tol="1e-13"),
+            lambda: ParamPair(10**400, 2),
+            lambda: verify("dbl-2-2", samples=20, seed=True),
+            lambda: verify("dbl-2-2", samples=20, tol="x"),
+            lambda: verify("dbl-2-2", samples=20, rhs_offset=None),
+        ],
+        ids=[f"ode_residual-{v!r}" for v in _NOT_REAL]
+        + [f"eval_identity-{v!r}" for v in _NOT_REAL]
+        + ["lemniscate-y", "max_iter-bool", "quad_tol-str", "p-huge-int", "seed-bool",
+           "tol-str", "rhs_offset-none"],
+    )
+    def test_rejects_with_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestVerifyEngine:

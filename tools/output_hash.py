@@ -1,0 +1,98 @@
+"""Print one SHA-256 line over gtrig's outputs on a fixed set of valid inputs.
+
+    PYTHONPATH=<tree>/src python3 tools/output_hash.py
+
+Two trees that print the same line give the same bits on every input below,
+so a change meant to keep the values can be checked against its parent.
+Hashed, on the pairs of ``PQ_PANEL`` and (2, 2), (1.05, 1000), (1000, 1.05):
+
+* ``sin_pq``, ``cos_pq`` (value, quadrant, reduced_x) and ``sin_cos``, one
+  scalar call per point and one array call over all of them, at 0, +-0.0,
+  subnormals, every k pi_pq/2 for |k| <= 12 with both float neighbours, and
+  seeded random points;
+* ``arcsin_pq``, scalar and array, at 0, subnormals, 1 and its lower
+  neighbour, and seeded random points in [0, 1];
+* every ``IdentityReport`` field except ``elapsed``, for each catalog id at
+  two seeds and the command line's default of 1000 samples.
+
+Only the public API is used, so the script runs against older trees too.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+
+from gtrig import ParamPair, arcsin_pq, cos_pq, pi_pq, sin_cos, sin_pq
+from gtrig.identities import PQ_PANEL, identity_ids, verify
+
+PAIRS = (*PQ_PANEL, (2.0, 2.0), (1.05, 1000.0), (1000.0, 1.05))
+SUBNORMALS = (5e-324, 1e-320, 2.5e-311, 2.2250738585072009e-308)
+RANDOM_POINTS = 64
+SEEDS = (0, 7)
+SAMPLES = 1000
+
+
+def _arguments(pp: ParamPair, rng: np.random.Generator) -> list[float]:
+    xs = [0, 0.0, -0.0, *SUBNORMALS, *(-v for v in SUBNORMALS)]
+    half = 0.5 * pi_pq(pp)
+    for k in range(-12, 13):
+        x = k * half
+        xs += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    return xs + rng.uniform(-13.0 * half, 13.0 * half, RANDOM_POINTS).tolist()
+
+
+def _sines(rng: np.random.Generator) -> list[float]:
+    ss = [0, 0.0, *SUBNORMALS, math.nextafter(1.0, 0.0), 1.0, 1]
+    return ss + rng.uniform(0.0, 1.0, RANDOM_POINTS).tolist()
+
+
+def _feed(digest, value) -> None:
+    """Add one result: arrays by dtype, shape and bytes, the rest by repr,
+    which keeps every bit of a float and its type."""
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    else:
+        digest.update(repr(value).encode())
+    digest.update(b"\n")
+
+
+def _function_values(digest, pp: ParamPair, xs: list[float], ss: list[float]) -> None:
+    array = np.array([float(x) for x in xs])
+    for x in (*xs, array):
+        for fn in (sin_pq, cos_pq):
+            fv = fn(pp, x)
+            for v in (fv.value, fv.quadrant, fv.reduced_x):
+                _feed(digest, v)
+        for v in sin_cos(pp, x):
+            _feed(digest, v)
+    for s in (*ss, np.array([float(s) for s in ss])):
+        _feed(digest, arcsin_pq(pp, s))
+
+
+def _reports(digest) -> None:
+    for seed in SEEDS:
+        for identity_id in identity_ids():
+            report = verify(identity_id, samples=SAMPLES, seed=seed)
+            for field in dataclasses.fields(report):
+                if field.name != "elapsed":
+                    _feed(digest, (field.name, getattr(report, field.name)))
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20190422)
+    for p, q in PAIRS:
+        pp = ParamPair(p, q)
+        _feed(digest, (p, q))
+        _function_values(digest, pp, _arguments(pp, rng), _sines(rng))
+    _reports(digest)
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

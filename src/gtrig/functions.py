@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .numerics import (
+    _integer, _positive, _real, _real_array,
     incomplete_beta, incomplete_beta_array, integrate_endpoint_singular, solve_increasing,
 )
 
@@ -56,31 +57,6 @@ __all__ = [
 # overflows at subnormal offsets and pi_pq raises NonFiniteIntegrandError.
 _P_MIN = 1.0
 _P_MAX = 1000.0
-
-
-# The argument rule of every entry point of gtrig.functions and gtrig.identities.
-def _real(value, name: str = "argument") -> float:
-    """``value`` as a Python float if it is a Python or numpy int or float, not a bool."""
-    if isinstance(value, (float, int, np.integer, np.floating)) and type(value) is not bool:
-        try:
-            return float(value)
-        except OverflowError:
-            raise DomainError(f"{name} must lie within the float range") from None
-    raise DomainError(f"{name} must be a real number, got {value!r}")
-
-
-def _real_array(values: np.ndarray, name: str = "argument") -> np.ndarray:
-    """``values`` as float64 if its dtype kind is i, u or f (those of ``_real``)."""
-    if values.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be a real array, got dtype {values.dtype}")
-    return np.asarray(values, dtype=float)
-
-
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as a Python int if it is a Python or numpy int >= least, not a bool."""
-    if isinstance(value, (int, np.integer)) and type(value) is not bool and value >= least:
-        return int(value)
-    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,11 +105,11 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         for name in ("quad_tol", "root_tol"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter", 1))
         # the root solve scales root_tol by targets down to 1e-16
-        if not (0.0 < self.quad_tol < math.inf and 0.0 < self.root_tol * 1e-16 < math.inf):
-            raise DomainError("tolerances must be finite and > 0, and root_tol * 1e-16 > 0")
+        if not self.root_tol * 1e-16 > 0.0:
+            raise DomainError(f"root_tol * 1e-16 must be > 0, got root_tol={self.root_tol!r}")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -491,9 +467,7 @@ def ode_residual(
     x is a real scalar, not an array, at least 10 h away from 0 and pi_pq/2,
     where |u'|**(p-2) degenerates for p < 2 (and |u|**(q-2) for q < 2).
     """
-    x, h = _real(x, "x"), _real(h, "h")
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"h must be positive, got {h!r}")
+    x, h = _real(x, "x"), _positive(h, "h")
     half_pi = 0.5 * pi_pq(pp, config)
     margin = 10.0 * h
     if not (margin < x < half_pi - margin):

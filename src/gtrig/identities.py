@@ -57,14 +57,14 @@ from .functions import (
     DEFAULT_CONFIG,
     EvalConfig,
     ParamPair,
-    _integer,
-    _real,
+    _each,
     fractional_power,
     pi_pq,
     power,
     sin_cos,
     sin_pq,
 )
+from .numerics import _integer, _positive, _real
 
 __all__ = [
     "IdentitySpec",
@@ -232,7 +232,7 @@ def _half_power(c2: float, s2: float, p: float, expo: float) -> float:
     c2 > 0.5, so it stays accurate where c2 is within an ulp of 1; -c2 gives 1 + c2.
     Arrays are taken point by point."""
     if isinstance(c2, np.ndarray):
-        return np.array([_half_power(*cs, p, expo) for cs in zip(c2.tolist(), s2.tolist())])
+        return _each(partial(_half_power, p=p, expo=expo), c2, s2)
     u = 1.0 - c2
     if c2 > 0.5:
         u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
@@ -435,8 +435,9 @@ def identity_specs(
 
     Parameterized identities expand over the panel unless an explicit ``p``
     (for the exponent-indexed families) or ``pp`` (for the pair-indexed ones)
-    pins a single instance.  Passing either to an entry not indexed by it
-    raises DomainError.
+    pins a single instance.  Passing either to an entry not indexed by it,
+    or a panel that does not hold numbers (p) or (p, q) pairs (pq), raises
+    DomainError.
     """
     if identity_id not in _CATALOG:
         raise UnknownIdentityError(identity_id)
@@ -445,13 +446,16 @@ def identity_specs(
         raise DomainError(f"{identity_id} takes no {'p' if p is not None else 'pp'}")
     if pp is not None and not isinstance(pp, ParamPair):
         raise DomainError(f"pp must be a ParamPair, got {pp!r}")
-    if index == "p":
-        return tuple(build(_real(v, "p"), config) for v in (p_panel if p is None else (p,)))
-    if index == "pq":
-        if pp is not None:
-            return (build(pp, config),)
-        return tuple(build(ParamPair(a, b), config) for a, b in pq_panel)
-    return (build(config),)
+    if index is None:
+        return (build(config),)
+    try:
+        if index == "p":
+            args = [_real(v, "p") for v in (p_panel if p is None else (p,))]
+        else:
+            args = [pp] if pp is not None else [ParamPair(a, b) for a, b in pq_panel]
+    except (TypeError, ValueError):
+        raise DomainError(f"{index}_panel must hold {'numbers' if index == 'p' else '(p, q) pairs'}") from None
+    return tuple(build(v, config) for v in args)
 
 
 def eval_identity(
@@ -534,9 +538,7 @@ def verify(
     exists so the engine's sensitivity is itself testable.
     """
     samples, seed = _integer(samples, "samples", 2), _integer(seed, "seed", 0)
-    tol, rhs_offset = _real(tol, "tol"), _real(rhs_offset, "rhs_offset")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol, rhs_offset = _positive(tol, "tol"), _real(rhs_offset, "rhs_offset")
     specs = identity_specs(identity_id, p_panel=p_panel, pq_panel=pq_panel, config=config)
     if not specs:
         raise DomainError(f"{identity_id} has no instances: its panel is empty")

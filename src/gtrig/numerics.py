@@ -33,6 +33,42 @@ __all__ = [
     "solve_increasing",
 ]
 
+
+# The argument rule of every entry point of gtrig: each check on a number is one of these.
+def _real(value, name: str = "argument") -> float:
+    """``value`` as a Python float if it is a Python or numpy int or float, not a bool."""
+    if isinstance(value, (float, int, np.integer, np.floating)) and type(value) is not bool:
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must lie within the float range") from None
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_array(values: np.ndarray, name: str = "argument") -> np.ndarray:
+    """``values`` as float64 if its dtype kind is i, u or f (those of ``_real``)."""
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real array, got dtype {values.dtype}")
+    return np.asarray(values, dtype=float)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as a Python int if it is a Python or numpy int >= least, not a bool."""
+    if type(value) is int and value >= least:  # the common case, in every scalar solve
+        return value
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and value >= least:
+        return int(value)
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a Python float if ``_real`` takes it and it is finite and > 0."""
+    value = value if type(value) is float else _real(value, name)
+    if 0.0 < value < math.inf:
+        return value
+    raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
 _EPS = 2.0 ** -52
 
 # tanh-sinh abscissas x_k = tanh((pi/2) sinh(k h)) reach the last subnormal
@@ -99,10 +135,10 @@ def integrate_endpoint_singular(
     ``max_evals`` integrand evaluations, and NonFiniteIntegrandError if the
     integrand returns NaN or infinity at an interior node.
     """
+    lower, upper, tol = _real(lower, "lower"), _real(upper, "upper"), _positive(tol, "tol")
+    max_evals = _integer(max_evals, "max_evals", 1)
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise DomainError(f"need finite lower < upper, got [{lower}, {upper}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
 
     half = 0.5 * (upper - lower)
     mid = lower + half
@@ -163,15 +199,12 @@ def log_gamma(x: float) -> float:
     Delegates to the platform ``lgamma`` (a standard rational approximation
     accurate to well under 1e-13 relative over (0, 170]).
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x}")
-    return math.lgamma(x)
+    return math.lgamma(_positive(x, "x"))
 
 
 def beta(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0."""
-    if not (math.isfinite(a) and a > 0 and math.isfinite(b) and b > 0):
-        raise DomainError(f"beta requires a, b > 0, got ({a}, {b})")
+    a, b = _positive(a, "a"), _positive(b, "b")
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
@@ -263,8 +296,7 @@ def agm(a: float, b: float) -> float:
     The iteration (a, b) -> ((a+b)/2, sqrt(ab)) converges quadratically; it is
     stopped once the two means agree to a few ulps.
     """
-    if not (math.isfinite(a) and a > 0 and math.isfinite(b) and b > 0):
-        raise DomainError(f"agm requires a, b > 0, got ({a}, {b})")
+    a, b = _positive(a, "a"), _positive(b, "b")
     for _ in range(64):
         if abs(a - b) <= 2.0 * _EPS * max(a, b):
             break
@@ -301,8 +333,7 @@ def solve_increasing(
     representable points), the endpoint with the smaller residual is
     returned: no representable argument does better.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol, max_iter = _positive(tol, "tol"), _integer(max_iter, "max_iter", 1)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
 

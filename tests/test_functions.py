@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtrig.errors import DomainError, NonFiniteIntegrandError
+from gtrig.errors import DomainError, NonConvergenceError, NonFiniteIntegrandError
 from gtrig.functions import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -201,7 +201,10 @@ class TestScalarArgumentRule:
     floating scalar, but not a bool: the kinds the array path takes as dtypes."""
 
     @pytest.mark.parametrize(
-        "bad", [np.complex128(1 + 2j), 1 + 0j, "1", [0.5], None, True, np.bool_(False)]
+        "bad",
+        [np.complex128(1 + 2j), 1 + 0j, "1", [0.5], None, True, np.bool_(False),
+         # arrays whose dtype is not a real kind
+         np.array([True]), np.array([0.5 + 0j]), np.array(["0.5"]), np.array([0.5], dtype=object)],
     )
     @pytest.mark.parametrize("fn", _ALL_FUNCTIONS)
     def test_other_kinds_raise_domain_error(self, fn, bad):
@@ -478,6 +481,26 @@ class TestArrayPath:
     def test_arcsin_bad_element_raises(self, bad):
         with pytest.raises(DomainError):
             arcsin_pq(PP23, np.array([0.25, bad]))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pp", [PP23, PP432, ParamPair(5.0, 5.0)], ids=str)
+    def test_non_convergence_as_scalar_calls(self, pp, max_iter):
+        # few iterations leave some roots unsolved: the lockstep solve raises
+        # exactly when a scalar call does, and else gives the scalar bits
+        config = EvalConfig(max_iter=max_iter)
+        xs = np.linspace(-6.0, 6.0, 301)
+        scalar, failed = [], False
+        for x in xs.tolist():
+            try:
+                scalar += sin_cos(pp, x, config)
+            except NonConvergenceError:
+                failed = True
+        if failed:
+            with pytest.raises(NonConvergenceError):
+                sin_cos(pp, xs, config)
+        else:
+            s, c = sin_cos(pp, xs, config)
+            assert [_bits(v) for v in np.column_stack([s, c]).ravel()] == [_bits(v) for v in scalar]
 
     def test_empty_array_gives_empty_arrays(self):
         empty = np.array([])

@@ -318,6 +318,19 @@ class TestVerifyEngine:
         with pytest.raises(DomainError):
             verify(ident, samples=10, **kwargs)
 
+    @pytest.mark.parametrize("ident, kwargs", [
+        ("pythagorean", {"pq_panel": [(2.0,)]}),
+        ("pythagorean", {"pq_panel": [(2.0, 3.0, 4.0)]}),
+        ("duality-sin", {"pq_panel": [None]}),
+        ("duality-pi", {"pq_panel": [2.0]}),
+        ("pythagorean", {"pq_panel": None}),
+        ("maf-sin", {"p_panel": None}),
+        ("pythagorean", {"pq_panel": np.array([2.0, 3.0])}),
+    ], ids=["pair-short", "pair-long", "pair-None", "pair-float", "pq-None", "p-None", "pq-1d-array"])
+    def test_rejects_a_malformed_panel(self, ident, kwargs):
+        with pytest.raises(DomainError):
+            verify(ident, samples=10, **kwargs)
+
     def test_accepts_numpy_integer_samples(self):
         rep = verify("dbl-2-2", samples=np.int64(10), seed=np.int64(1))
         again = verify("dbl-2-2", samples=10, seed=1)

@@ -22,6 +22,7 @@ from gtrig.numerics import (
     log_gamma,
     solve_increasing,
 )
+from gtrig.identities import verify
 
 from conftest import AGM_1_SQRT2, LOG_GAMMA_HALF, LOG_GAMMA_THIRD
 
@@ -332,3 +333,61 @@ class TestSolveIncreasing:
             solve_increasing(lambda s: s, 1.0, 0.0, 0.5)
         with pytest.raises(DomainError):
             solve_increasing(lambda s: s, 0.0, 1.0, 0.5, tol=-1.0)
+
+
+def _one(t):
+    return np.ones_like(t)
+
+
+class TestArgumentRule:
+    """Every tolerance, count and argument of log_gamma, beta and agm follows
+    the one argument rule of gtrig: a Python or numpy real that is not a bool,
+    finite and > 0 where it must be positive, an integer >= 1 for a count."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: log_gamma(True),
+            lambda: beta(True, 1.0),
+            lambda: beta("a", 1.0),
+            lambda: agm("a", 1.0),
+            lambda: agm(None, 1.0),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, tol=math.inf),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, tol=True),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, tol="a"),
+            lambda: integrate_endpoint_singular(_one, "0", 1.0),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, max_evals=True),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, max_evals=2.5),
+            lambda: integrate_endpoint_singular(_one, 0.0, 1.0, max_evals=0),
+            lambda: solve_increasing(lambda s: s, 0.0, 1.0, 0.3, tol=math.inf),
+            lambda: solve_increasing(lambda s: s, 0.0, 1.0, 0.3, tol="a"),
+            lambda: solve_increasing(lambda s: s, 0.0, 1.0, 0.3, max_iter=True),
+            lambda: solve_increasing(lambda s: s, 0.0, 1.0, 0.3, max_iter=2.0),
+            lambda: solve_increasing(lambda s: s**3, 0.0, 1.0, 0.3, max_iter=0),
+            lambda: verify("dbl-2-2", samples=10, tol=math.inf),
+        ],
+        ids=[
+            "log_gamma-bool", "beta-bool", "beta-str", "agm-str", "agm-None",
+            "quad-tol-inf", "quad-tol-bool", "quad-tol-str", "quad-lower-str",
+            "quad-max_evals-bool", "quad-max_evals-float", "quad-max_evals-0",
+            "solve-tol-inf", "solve-tol-str", "solve-max_iter-bool",
+            "solve-max_iter-float", "solve-max_iter-0", "verify-tol-inf",
+        ],
+    )
+    def test_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize(
+        "got, want",
+        [
+            (lambda: log_gamma(np.int64(3)), lambda: math.lgamma(3.0)),
+            (lambda: log_gamma(np.float32(2.0)), lambda: 0.0),
+            (lambda: agm(np.float32(1.0), 2.0), lambda: agm(1.0, 2.0)),
+            (lambda: beta(np.int64(2), np.float32(0.5)), lambda: beta(2.0, 0.5)),
+        ],
+        ids=["log_gamma-int64", "log_gamma-float32", "agm-float32", "beta-numpy"],
+    )
+    def test_numpy_reals_give_the_python_float_of_their_value(self, got, want):
+        value = got()
+        assert type(value) is float and value == want()

@@ -17,7 +17,7 @@ For (p, q) = (2, 2) all of this reduces to the circular functions and pi.
 The substitution u = t**q turns F into the incomplete Beta function
 (1/q) B_{x**q}(1/q, 1 - 1/p).  One kernel, ``_arc``, sums its continued
 fraction and gives F together with its tail F(1) - F; the inversion seeds
-each root solve from a 33-node table of either, looked up by bisection.
+each root solve from 17-node tables of either and its slope, by bisection.
 pi_pq alone is integrated by quadrature.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError, NonConvergenceError
 from .numerics import (
-    _integer, _positive, _real, _real_array,
+    _hermite_inverse, _integer, _positive, _real, _real_array,
     incomplete_beta, incomplete_beta_array, integrate_endpoint_singular, solve_increasing,
 )
 
@@ -95,7 +95,8 @@ class EvalConfig:
     A root solve stops at a residual of at most root_tol * min(1, target): the
     target is r = reduced_x on the lower half of [0, pi_pq/2], and pi_pq/2 - r
     on the upper, solved for v = 1 - s.  F' >= 1 in s and in v, so |s - s_true|
-    is at most that too, plus the errors of the kernel and of the reduction.
+    is at most that too, and the closing Newton step moves s toward s_true by
+    at most as much; add the errors of the kernel and of the reduction.
     That bounds sin_pq for any root_tol; near the quarter period cos_pq has none.
     """
 
@@ -133,8 +134,8 @@ class FunctionValue:
         return self.value
 
 
-# the nodes j/32 of the seed tables, shared by every pair
-_GRID = tuple(j / 32 for j in range(33))
+# the nodes j/16 of the seed tables, shared by every pair
+_GRID = tuple(j / 16 for j in range(17))
 
 
 def _arc(p: float, q: float, t: float, q_ln_t: float, half_pi: float) -> tuple[float, float]:
@@ -215,7 +216,7 @@ def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
 
 
-_Half = namedtuple("_Half", "table f df f_array finish")
+_Half = namedtuple("_Half", "table dtable f df f_array finish")
 
 
 def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
@@ -223,8 +224,8 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
     from 0 to half_pi over [0, 1]: F(s) = r on the lower half, and on the upper
     the tail H(w**p_star) = half_pi - r, which straightens out F's infinite
     slope at s = 1 and keeps 1 - s, so the cosine, exact to the quarter period.
-    The record holds the target on _GRID (a table that only seeds brackets), f
-    and df at a float, f over a 1-d array, and finish: (s, 1 - s) from a root."""
+    The record holds the target and df on _GRID (tables that only seed solves),
+    f and df at a float, f over a 1-d array, and finish: (s, 1 - s) from a root."""
     if not upper:
 
         def f(s: float) -> float:
@@ -262,37 +263,39 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
             v = power(w, pstar)
             return 1.0 - v, v
 
-    return _Half((0.0, *map(f, _GRID[1:-1]), half_pi), f, df, f_array, finish)
+    table, dtable = (0.0, *map(f, _GRID[1:-1]), half_pi), tuple(map(df, _GRID))
+    return _Half(table, dtable, f, df, f_array, finish)
 
 
-def _solve_lockstep(f, df, table, target, tol, max_iter) -> np.ndarray:
+def _solve_lockstep(f, df, table, dtable, target, tol, max_iter) -> np.ndarray:
     """``solve_increasing`` as ``_evaluate`` calls it, for each element of
     a 1-d ``target`` at once; ``f`` maps arrays, ``df`` floats.  Each element
     takes the steps of its own scalar solve and leaves as it stops, so every
     root equals the scalar one bit for bit."""
-    table, grid = np.asarray(table), np.asarray(_GRID)
+    table, dtable, grid = np.asarray(table), np.asarray(dtable), np.asarray(_GRID)
     j = np.clip(np.searchsorted(table, target, side="right") - 1, 0, len(_GRID) - 2)
-    a, b = grid[j], grid[j + 1]
+    a, b, da, db = grid[j], grid[j + 1], dtable[j], dtable[j + 1]
     fa, fb = table[j] - target, table[j + 1] - target
     out = np.where(np.abs(fa) <= tol, a, b)
     live = np.flatnonzero((np.abs(fa) > tol) & (np.abs(fb) > tol))
-    a, fa, b, fb, target, tol = (v[live] for v in (a, fa, b, fb, target, tol))
+    a, fa, b, fb, da, db, target, tol = (v[live] for v in (a, fa, b, fb, da, db, target, tol))
     if ((fa > 0.0) | (fb < 0.0)).any():
         raise BracketError(f"targets outside their seed cells, first {target[0]!r}")
-    x = a - fa * (b - a) / (fb - fa)
+    x = _hermite_inverse(a, b, fa, fb, da, db)  # finite where a slope is inf, then masked
+    x = np.where((da < np.inf) & (db < np.inf) & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))
     x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
     fx = f(x) - target
     for _ in range(max_iter):
         stop = np.abs(fx) <= tol
-        out[live[stop]] = x[stop]
         lower = fx < 0.0
         a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
         b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
-        d = np.zeros_like(x)
-        d[~stop] = _each(df, x[~stop])
+        d = _each(df, x)
         newton = np.isfinite(d) & (d > 0.0)
         step = x - fx / np.where(newton, d, 1.0)
-        step = np.where(newton & (a < step) & (step < b), step, a + 0.5 * (b - a))
+        inside = newton & (a < step) & (step < b)
+        out[live[stop]] = np.where(inside, step, x)[stop]  # the closing step
+        step = np.where(inside, step, a + 0.5 * (b - a))
         # a bracket down to adjacent floats ends at its smaller residual
         adjacent = ~stop & ~((a < step) & (step < b))
         out[live[adjacent]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[adjacent]
@@ -323,7 +326,8 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
     if x < 0.0:  # the sine is odd: mirror the quadrant, keep r
         quadrant = 3 - quadrant
     # the upper half's target half_pi - r is exact, as r >= half_pi / 2
-    (table, f, df, _, finish), target = (lower, r) if r <= 0.5 * half_pi else (upper, half_pi - r)
+    half, target = (lower, r) if r <= 0.5 * half_pi else (upper, half_pi - r)
+    table, dtable, f, df, _, finish = half
     tol = config.root_tol * min(1.0, target)
     if tol == 0.0:
         # the target is 0 at r = 0 and r = half_pi, where w = 0 is exact; else
@@ -335,6 +339,7 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
         w = solve_increasing(
             f, _GRID[j], _GRID[j + 1], target, deriv=df, tol=tol,
             max_iter=config.max_iter, f_lo=table[j], f_hi=table[j + 1],
+            df_lo=dtable[j], df_hi=dtable[j + 1],
         )
     s, one_minus_s = finish(w)
     return quadrant, r, s, one_minus_s
@@ -357,10 +362,10 @@ def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
     tol = config.root_tol * np.minimum(1.0, target)
     s, one_minus_s = np.empty_like(r), np.empty_like(r)
     # each half in one lockstep solve; a zero tol keeps w = target, as in _evaluate
-    for (table, _, df, f, finish), m in zip(halves, (lower, ~lower)):
+    for (table, dtable, _, df, f, finish), m in zip(halves, (lower, ~lower)):
         w, live = target[m], tol[m] > 0.0
         if live.any():
-            w[live] = _solve_lockstep(f, df, table, w[live], tol[m][live], config.max_iter)
+            w[live] = _solve_lockstep(f, df, table, dtable, w[live], tol[m][live], config.max_iter)
         s[m], one_minus_s[m] = finish(w)
     return tuple(v.reshape(shape) for v in (quadrant, r, s, one_minus_s))
 

@@ -197,9 +197,14 @@ def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0.
 
     Delegates to the platform ``lgamma`` (a standard rational approximation
-    accurate to well under 1e-13 relative over (0, 170]).
+    accurate to well under 1e-13 relative over (0, 170]).  Past about 2.6e305
+    the value exceeds the float range and DomainError is raised.
     """
-    return math.lgamma(_positive(x, "x"))
+    x = _positive(x, "x")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma(x) overflows for x={x!r}") from None
 
 
 def beta(a: float, b: float) -> float:
@@ -300,7 +305,7 @@ def agm(a: float, b: float) -> float:
     for _ in range(64):
         if abs(a - b) <= 2.0 * _EPS * max(a, b):
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a, b = 0.5 * (a + b), math.sqrt(a) * math.sqrt(b)  # a * b may overflow
     return 0.5 * (a + b)
 
 
@@ -315,18 +320,25 @@ def solve_increasing(
     *,
     f_lo: Optional[float] = None,
     f_hi: Optional[float] = None,
+    df_lo: float = math.nan,
+    df_hi: float = math.nan,
 ) -> float:
     """Solve f(s) = target for a strictly increasing f on [lo, hi].
 
-    Hybrid iteration: a false-position first point, then a Newton step from
-    the latest point whenever ``deriv`` is supplied and the step stays inside
-    the current bracket, bisection otherwise.  Convergence is judged on the
+    Hybrid iteration: an opening point, then a Newton step from the latest
+    point whenever ``deriv`` is supplied and the step stays inside the
+    current bracket, bisection otherwise.  Convergence is judged on the
     residual |f(s) - target| <= tol rather than on step size, because the
     inverse problem of interest has an unbounded derivative at one end where
-    steps stall long before the residual does.
+    steps stall long before the residual does.  Once it passes at x, the
+    closing Newton step from x is returned if it lies strictly inside the
+    bracket, else x; it calls deriv, not f, and takes the error to roundoff.
 
     ``f_lo`` / ``f_hi`` accept already-computed endpoint values so callers
-    holding tabulated brackets do not pay two extra evaluations.
+    holding tabulated brackets do not pay two extra evaluations.  With the
+    slopes ``df_lo`` / ``df_hi`` there (finite and > 0) the opening point is
+    the cubic Hermite interpolant of the inverse of f at target; else, or if
+    it is not strictly inside [lo, hi], the false-position point.
 
     If the bracket collapses to adjacent floats before the residual test is
     met (possible when f moves by more than ``tol`` between neighbouring
@@ -350,14 +362,15 @@ def solve_increasing(
 
     a, fa = lo, flo
     b, fb = hi, fhi
-    # secant through the bracket endpoints as the opening point
-    x = a - fa * (b - a) / (fb - fa)
+    x = math.nan
+    if 0.0 < df_lo < math.inf and 0.0 < df_hi < math.inf:
+        x = _hermite_inverse(a, b, fa, fb, df_lo, df_hi)
     if not (a < x < b):
-        x = a + 0.5 * (b - a)
+        x = a - fa * (b - a) / (fb - fa)
+        if not (a < x < b):
+            x = a + 0.5 * (b - a)
     fx = f(x) - target
     for _ in range(max_iter):
-        if abs(fx) <= tol:
-            return x
         if fx < 0.0:
             a, fa = x, fx
         else:
@@ -367,6 +380,8 @@ def solve_increasing(
             d = deriv(x)
             if math.isfinite(d) and d > 0.0:
                 step_x = x - fx / d
+        if abs(fx) <= tol:
+            return step_x if a < step_x < b else x
         if not (a < step_x < b):
             step_x = a + 0.5 * (b - a)
             if not (a < step_x < b):
@@ -378,3 +393,13 @@ def solve_increasing(
         f"no residual <= {tol:.3e} within {max_iter} iterations "
         f"(bracket [{a!r}, {b!r}])"
     )
+
+
+def _hermite_inverse(a, b, fa, fb, df_a, df_b):
+    """Cubic Hermite interpolant at the target of the inverse of an increasing
+    f, from residuals fa < 0 < fb and slopes df_a, df_b at a < b.  Only + - * /
+    in one fixed order, so Python floats and float64 arrays give the same bits."""
+    h = fb - fa
+    t = -fa / h
+    u = 1.0 - t
+    return a + (b - a) * t * t * (3.0 - 2.0 * t) + h * t * u * (u / df_a - t / df_b)

@@ -28,6 +28,7 @@ from gtrig.functions import (
     sin_cos,
     sin_pq,
 )
+from gtrig import functions
 from gtrig.identities import PQ_PANEL
 from gtrig.numerics import integrate_endpoint_singular
 
@@ -87,7 +88,7 @@ class TestNumpyScalarExponents:
         sin_cos(ParamPair(np.float32(2.5), np.int64(3)), 0.7)
         got = sin_cos(ParamPair(2.5, 3.0), 0.7)
         assert [type(v) for v in got] == [float, float]
-        assert [_bits(v) for v in got] == [_bits(0.6759777789548411), _bits(0.8626210441237256)]
+        assert [_bits(v) for v in got] == [_bits(0.6759777789548417), _bits(0.8626210441237253)]
 
 
 class TestEvalConfig:
@@ -306,6 +307,13 @@ class TestSin:
         for pp in (PP22, PP23, PP432):
             assert sin_pq(pp, 0.5 * pi_pq(pp)).value == 1.0
 
+    def test_few_ulps_from_the_circular_sine(self):
+        # the closing Newton step takes the solve's residual to roundoff
+        x = np.random.default_rng(0).uniform(1e-3, math.pi / 2 - 1e-3, 20000)
+        want = np.array([math.sin(v) for v in x.tolist()])
+        ulps = np.abs(sin_pq(PP22, x).value.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 16
+
     def test_extended_precision_oracle(self):
         # frozen from quadrature + bisection at tolerance 1e-25
         assert sin_pq(PP23, 1.0).value == pytest.approx(SIN23_AT_1, abs=1e-13)
@@ -517,6 +525,52 @@ class TestArrayPath:
             got = fractional_power(bases, exponent)
             want = [fractional_power(b, exponent) for b in bases.tolist()]
             assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+class TestKernelCallsPerInversion:
+    """A warm inversion opens at the Hermite point of its seed cell and
+    closes with a Newton step, so it makes about two kernel passes."""
+
+    PAIRS = [PP23, PP432, ParamPair(5.0, 5.0)]
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = [0]
+
+        def scalar(*args):
+            calls[0] += 1
+            return incomplete_beta(*args)
+
+        def array(a, b, x, front):
+            calls[0] += x.size
+            return incomplete_beta_array(a, b, x, front)
+
+        incomplete_beta = functions.incomplete_beta
+        incomplete_beta_array = functions.incomplete_beta_array
+        monkeypatch.setattr(functions, "incomplete_beta", scalar)
+        monkeypatch.setattr(functions, "incomplete_beta_array", array)
+        return calls
+
+    @staticmethod
+    def _arguments(pp):
+        return np.random.default_rng(21).uniform(0.0, 2.0 * pi_pq(pp), 500)
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_scalar_inversion(self, pp, monkeypatch):
+        xs = self._arguments(pp)
+        sin_cos(pp, 1.0)  # the pair record is built outside the count
+        calls = self._counted(monkeypatch)
+        for x in xs.tolist():
+            sin_cos(pp, x)
+        assert calls[0] / xs.size <= 2.3
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_array_inversion(self, pp, monkeypatch):
+        xs = self._arguments(pp)
+        sin_cos(pp, 1.0)
+        calls = self._counted(monkeypatch)
+        sin_cos(pp, xs)
+        assert calls[0] / xs.size <= 2.3
 
 
 class TestExtensionInvariants:

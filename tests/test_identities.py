@@ -251,9 +251,13 @@ class TestVerifyEngine:
 
     def test_pass_iff_within_tol(self):
         loose = verify("dbl-2-2", samples=50, tol=1e-6, seed=2)
-        tight = verify("dbl-2-2", samples=50, tol=1e-15, seed=2)
         assert loose.passed and loose.max_abs_err <= loose.tol
+        # the tight tolerances come from the sweep's own error, which is > 0
+        err = loose.max_abs_err
+        tight = verify("dbl-2-2", samples=50, tol=err / 2, seed=2)
         assert not tight.passed and tight.max_abs_err > tight.tol
+        exact = verify("dbl-2-2", samples=50, tol=err, seed=2)
+        assert exact.passed and exact.max_abs_err == exact.tol
 
     def test_report_is_deterministic(self):
         a = verify("dbl-2-4", samples=80, tol=1e-9, seed=7)
@@ -405,6 +409,30 @@ class TestCatalogPasses:
         for seed in (0, 1234):
             rep = verify(identity_id, samples=120, tol=1e-9, seed=seed)
             assert rep.passed, (identity_id, seed, rep.max_abs_err, rep.note)
+
+
+class TestErrorFloor:
+    """Each id's max_abs_err at 1000 samples and seed 0, limited to about twice
+    its measured value in units of eps = 2**-52.  Most ids sit at a few eps,
+    where the root solve's closing Newton step leaves them; half-cos,
+    proof-sin2x and proof-sum-diff are bounded by the rounding of their
+    coupled arguments instead."""
+
+    LIMIT_EPS = {
+        "pythagorean": 4, "dbl-2-2": 11, "dbl-2-4": 15, "dbl-3:2-3": 11,
+        "dbl-4:3-4": 10, "dbl-2-3": 13, "dbl-4:3-2": 15, "maf-sin": 13,
+        "maf-cos": 74, "half-sin": 10, "half-cos": 5476, "duality-pi": 32,
+        "duality-sin": 20, "lemniscate-add": 12, "proof-xtoy": 12,
+        "proof-sin2x": 630, "proof-f2x": 12, "proof-gx": 12, "proof-sum-diff": 14320,
+    }
+
+    def test_every_id_has_a_limit(self):
+        assert sorted(self.LIMIT_EPS) == sorted(identity_ids())
+
+    @pytest.mark.parametrize("identity_id", VOCABULARY)
+    def test_max_abs_err(self, identity_id):
+        rep = verify(identity_id, samples=1000, seed=0)
+        assert rep.max_abs_err <= self.LIMIT_EPS[identity_id] * 2.0**-52
 
 
 class TestProofReenactment:

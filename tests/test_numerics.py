@@ -161,6 +161,17 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(bad)
 
+    def test_float_range_against_mpmath(self):
+        # up to the float range the value, past it DomainError
+        mpmath = pytest.importorskip("mpmath")
+        want = float(mpmath.loggamma(2e305))
+        assert abs(log_gamma(2e305) - want) <= 1e-14 * want
+        assert float(mpmath.loggamma(3e305)) == math.inf
+        with pytest.raises(DomainError):
+            log_gamma(3e305)
+        with pytest.raises(DomainError):
+            beta(1e308, 1e308)
+
 
 class TestBeta:
     def test_ones(self):
@@ -241,6 +252,15 @@ class TestAgm:
         got = agm(1.0, math.sqrt(2.0))
         assert abs(got - AGM_1_SQRT2) <= 1e-14 * AGM_1_SQRT2
 
+    @pytest.mark.parametrize(
+        "a,b", [(1e-300, 1e300), (1e-200, 1e200), (5e-324, 1.7e308), (1e-100, 1e100)]
+    )
+    def test_means_far_apart_against_mpmath(self, a, b):
+        # the geometric mean is formed without the product a * b, which overflows
+        mpmath = pytest.importorskip("mpmath")
+        want = float(mpmath.agm(a, b))
+        assert abs(agm(a, b) - want) <= 1e-14 * want
+
     @given(
         st.floats(0.1, 50.0),
         st.floats(0.1, 50.0),
@@ -306,6 +326,49 @@ class TestSolveIncreasing:
         got = solve_increasing(f, 0.0, 1.0, 0.5**3, deriv=lambda s: 3 * s * s)
         assert abs(got - 0.5) <= 1e-10
         assert len(calls) <= 12
+
+    def test_opening_point(self):
+        # the Hermite point of the inverse from the endpoint slopes; false
+        # position without them or where one is not finite
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s**3
+
+        target = 0.7**3
+        fa, fb = 0.125 - target, 1.0 - target
+        t = -fa / (fb - fa)
+        hermite = 0.5 + 0.5 * t * t * (3.0 - 2.0 * t) + (fb - fa) * t * (1.0 - t) * (
+            (1.0 - t) / 0.75 - t / 3.0
+        )
+        for slopes, first in (
+            ({"df_lo": 0.75, "df_hi": 3.0}, hermite),
+            ({}, 0.5 - fa * 0.5 / (fb - fa)),
+            ({"df_lo": math.inf, "df_hi": 3.0}, 0.5 - fa * 0.5 / (fb - fa)),
+        ):
+            calls.clear()
+            got = solve_increasing(f, 0.5, 1.0, target, f_lo=0.125, f_hi=1.0, **slopes)
+            assert calls[0] == first
+            assert abs(got**3 - target) <= 1e-13
+        assert abs(hermite - 0.7) < 0.5 * abs(0.5 - fa * 0.5 / (fb - fa) - 0.7)
+
+    def test_closing_newton_step(self):
+        # the residual test passes at the first point; the Newton step from
+        # it is returned, at no further evaluation of f
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s**3
+
+        target = 0.7**3
+        got = solve_increasing(f, 0.5, 1.0, target, deriv=lambda s: 3.0 * s * s, tol=0.2)
+        assert len(calls) == 3
+        x = calls[-1]
+        assert got == x - (x**3 - target) / (3.0 * x * x)
+        assert abs(got - 0.7) < 0.01 < abs(x - 0.7)
+        assert solve_increasing(f, 0.5, 1.0, target, tol=0.2) == x
 
     def test_endpoint_hits(self):
         assert solve_increasing(lambda s: s, 0.0, 1.0, 0.0) == 0.0

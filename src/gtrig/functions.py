@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NonConvergenceError
+from .errors import DomainError
 from .numerics import (
-    _hermite_inverse, _integer, _positive, _real, _real_array,
+    _integer, _positive, _real, _real_array, _solve_increasing_array,
     incomplete_beta, incomplete_beta_array, integrate_endpoint_singular, solve_increasing,
 )
 
@@ -267,47 +267,6 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
     return _Half(table, dtable, f, df, f_array, finish)
 
 
-def _solve_lockstep(f, df, table, dtable, target, tol, max_iter) -> np.ndarray:
-    """``solve_increasing`` as ``_evaluate`` calls it, for each element of
-    a 1-d ``target`` at once; ``f`` maps arrays, ``df`` floats.  Each element
-    takes the steps of its own scalar solve and leaves as it stops, so every
-    root equals the scalar one bit for bit."""
-    table, dtable, grid = np.asarray(table), np.asarray(dtable), np.asarray(_GRID)
-    j = np.clip(np.searchsorted(table, target, side="right") - 1, 0, len(_GRID) - 2)
-    a, b, da, db = grid[j], grid[j + 1], dtable[j], dtable[j + 1]
-    fa, fb = table[j] - target, table[j + 1] - target
-    out = np.where(np.abs(fa) <= tol, a, b)
-    live = np.flatnonzero((np.abs(fa) > tol) & (np.abs(fb) > tol))
-    a, fa, b, fb, da, db, target, tol = (v[live] for v in (a, fa, b, fb, da, db, target, tol))
-    if ((fa > 0.0) | (fb < 0.0)).any():
-        raise BracketError(f"targets outside their seed cells, first {target[0]!r}")
-    x = _hermite_inverse(a, b, fa, fb, da, db)  # finite where a slope is inf, then masked
-    x = np.where((da < np.inf) & (db < np.inf) & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))
-    x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
-    fx = f(x) - target
-    for _ in range(max_iter):
-        stop = np.abs(fx) <= tol
-        lower = fx < 0.0
-        a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
-        b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
-        d = _each(df, x)
-        newton = np.isfinite(d) & (d > 0.0)
-        step = x - fx / np.where(newton, d, 1.0)
-        inside = newton & (a < step) & (step < b)
-        out[live[stop]] = np.where(inside, step, x)[stop]  # the closing step
-        step = np.where(inside, step, a + 0.5 * (b - a))
-        # a bracket down to adjacent floats ends at its smaller residual
-        adjacent = ~stop & ~((a < step) & (step < b))
-        out[live[adjacent]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[adjacent]
-        keep = ~(stop | adjacent)
-        kept = (live, step, a, fa, b, fb, target, tol)
-        live, x, a, fa, b, fb, target, tol = (v[keep] for v in kept)
-        if not live.size:
-            return out
-        fx = f(x) - target
-    raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
-
-
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
     """(quadrant, reduced_x, s, 1 - s): x folded into [0, pi_pq/2], and F(s) = reduced_x."""
     if isinstance(x, np.ndarray):
@@ -361,12 +320,17 @@ def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
     target = np.where(lower, r, half_pi - r)
     tol = config.root_tol * np.minimum(1.0, target)
     s, one_minus_s = np.empty_like(r), np.empty_like(r)
-    # each half in one lockstep solve; a zero tol keeps w = target, as in _evaluate
-    for (table, dtable, _, df, f, finish), m in zip(halves, (lower, ~lower)):
+    # each half in one array solve; a zero tol keeps w = target, as in _evaluate
+    for half, m in zip(halves, (lower, ~lower)):
         w, live = target[m], tol[m] > 0.0
         if live.any():
-            w[live] = _solve_lockstep(f, df, table, dtable, w[live], tol[m][live], config.max_iter)
-        s[m], one_minus_s[m] = finish(w)
+            table, dtable, grid = (np.asarray(v) for v in (half.table, half.dtable, _GRID))
+            j = np.clip(np.searchsorted(table, w[live], side="right") - 1, 0, len(_GRID) - 2)
+            w[live] = _solve_increasing_array(
+                half.f_array, grid[j], grid[j + 1], w[live], functools.partial(_each, half.df),
+                tol[m][live], config.max_iter, table[j], table[j + 1], dtable[j], dtable[j + 1],
+            )
+        s[m], one_minus_s[m] = half.finish(w)
     return tuple(v.reshape(shape) for v in (quadrant, r, s, one_minus_s))
 
 

@@ -159,6 +159,9 @@ def dbl_angle_43_2(
 # calls sin_cos, sin_pq and pi_pq through this module's globals at call time,
 # so that rebinding those names (as a tracer does) reaches every sweep.
 
+# the fixed pairs of lemniscate-add and the proof-* entries
+_PP23, _PP24, _PP432 = ParamPair(2.0, 3.0), ParamPair(2.0, 4.0), ParamPair(4.0 / 3.0, 2.0)
+
 
 # id -> ((p, q), domain from pi_pq, right side from s, c = sin_cos(x)); the
 # left side is always sin_pq(2x).
@@ -301,81 +304,67 @@ def _duality_sin(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
 
 
 def _lemniscate_add(config: EvalConfig) -> IdentitySpec:
-    pp = ParamPair(2.0, 4.0)
-    half = 0.5 * pi_pq(pp, config)
+    half = 0.5 * pi_pq(_PP24, config)
 
     def sides(u: float, v: float) -> tuple[float, float]:
-        su, cu = sin_cos(pp, u, config)
-        sv, cv = sin_cos(pp, v, config)
+        su, cu = sin_cos(_PP24, u, config)
+        sv, cv = sin_cos(_PP24, v, config)
         return (
-            sin_pq(pp, u + v, config).value,
+            sin_pq(_PP24, u + v, config).value,
             (su * cv + cu * sv) / (1.0 + power(su, 2) * power(sv, 2)),
         )
 
-    return IdentitySpec("lemniscate-add", pp, (0.0, half), sides, arity=2)
+    return IdentitySpec("lemniscate-add", _PP24, (0.0, half), sides, arity=2)
 
 
 def _proof_xtoy(config: EvalConfig) -> IdentitySpec:
-    pp23 = ParamPair(2.0, 3.0)
-    pp323 = ParamPair(1.5, 3.0)
-    quarter = 0.25 * pi_pq(pp323, config)
-    k = 2.0 ** (2.0 / 3.0)
-
-    def sides(y: float) -> tuple[float, float]:
-        s, c = sin_cos(pp323, 2.0 * y, config)
-        return sin_pq(pp23, k * 2.0 * y, config).value, k * s * fractional_power(c, 0.5)
-
-    return IdentitySpec("proof-xtoy", pp23, (0.0, quarter), sides)
+    # the (2, 3) proof's switch to (3/2, 3) is maf-sin at p = 3, swept in y = x/2
+    maf = _multiple_angle("maf-sin", 3.0, config)
+    quarter = 0.5 * maf.domain[1]
+    return IdentitySpec("proof-xtoy", _PP23, (0.0, quarter), lambda y: maf.sides(2.0 * y))
 
 
 def _proof_sin2x(config: EvalConfig) -> IdentitySpec:
-    pp432 = ParamPair(4.0 / 3.0, 2.0)
-    pp24 = ParamPair(2.0, 4.0)
-    pi24 = pi_pq(pp24, config)
+    pi24 = pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float]:
-        s = sin_pq(pp24, 0.5 * pi24 - x, config).value
-        return sin_pq(pp432, 2.0 * x, config).value, fractional_power(1.0 - power(s, 4), 0.5)
+        s = sin_pq(_PP24, 0.5 * pi24 - x, config).value
+        return sin_pq(_PP432, 2.0 * x, config).value, fractional_power(1.0 - power(s, 4), 0.5)
 
-    return IdentitySpec("proof-sin2x", pp432, (0.0, pi24), sides)
+    return IdentitySpec("proof-sin2x", _PP432, (0.0, pi24), sides)
 
 
 def _proof_f2x(config: EvalConfig) -> IdentitySpec:
-    pp432 = ParamPair(4.0 / 3.0, 2.0)
-    pp24 = ParamPair(2.0, 4.0)
-    pi24 = pi_pq(pp24, config)
+    pi24 = pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float]:
-        g = sin_pq(pp24, x, config).value
-        return sin_pq(pp432, 2.0 * x, config).value, 2.0 * g / (1.0 + power(g, 2))
+        g = sin_pq(_PP24, x, config).value
+        return sin_pq(_PP432, 2.0 * x, config).value, 2.0 * g / (1.0 + power(g, 2))
 
     return IdentitySpec(
-        "proof-f2x", pp432, (0.0, pi24), sides, closed_lo=False, closed_hi=False
+        "proof-f2x", _PP432, (0.0, pi24), sides, closed_lo=False, closed_hi=False
     )
 
 
 def _proof_gx(config: EvalConfig) -> IdentitySpec:
-    pp24 = ParamPair(2.0, 4.0)
-    half = 0.5 * pi_pq(pp24, config)
+    half = 0.5 * pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float]:
-        gh = sin_pq(pp24, 0.5 * x, config).value
+        gh = sin_pq(_PP24, 0.5 * x, config).value
         return (
-            sin_pq(pp24, x, config).value,
+            sin_pq(_PP24, x, config).value,
             2.0 * gh * fractional_power(1.0 - power(gh, 4), 0.5) / (1.0 + power(gh, 4)),
         )
 
-    return IdentitySpec("proof-gx", pp24, (0.0, half), sides)
+    return IdentitySpec("proof-gx", _PP24, (0.0, half), sides)
 
 
 def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
-    pp432 = ParamPair(4.0 / 3.0, 2.0)
-    pp24 = ParamPair(2.0, 4.0)
-    half = 0.5 * pi_pq(pp24, config)
+    half = 0.5 * pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float, float, float]:
-        g = sin_pq(pp24, x, config).value
-        f = sin_pq(pp432, 2.0 * x, config).value
+        g = sin_pq(_PP24, x, config).value
+        f = sin_pq(_PP432, 2.0 * x, config).value
         return (
             1.0 / power(g, 2) + power(g, 2),
             4.0 / power(f, 2) - 2.0,
@@ -389,7 +378,7 @@ def _proof_sum_diff(config: EvalConfig) -> IdentitySpec:
     # either endpoint; the inset keeps roundoff amplification under ~1e-12.
     return IdentitySpec(
         "proof-sum-diff",
-        pp432,
+        _PP432,
         (0.0, half),
         sides,
         comparisons=((0, 1), (2, 3)),

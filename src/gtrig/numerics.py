@@ -395,6 +395,47 @@ def solve_increasing(
     )
 
 
+def _solve_increasing_array(f, lo, hi, target, deriv, tol, max_iter, f_lo, f_hi, df_lo, df_hi):
+    """``solve_increasing`` for each element of 1-d arrays of brackets, targets,
+    tols, end values and end slopes at once; ``f`` and ``deriv`` map arrays.
+    Each element takes the steps of its own scalar solve and leaves as it
+    stops, so every root equals the scalar one bit for bit."""
+    flo, fhi = f_lo - target, f_hi - target
+    out = np.where(np.abs(flo) <= tol, lo, hi)
+    live = np.flatnonzero((np.abs(flo) > tol) & (np.abs(fhi) > tol))
+    kept = (lo, flo, hi, fhi, df_lo, df_hi, target, tol)
+    a, fa, b, fb, da, db, target, tol = (v[live] for v in kept)
+    if ((fa > 0.0) | (fb < 0.0)).any():
+        raise BracketError(f"targets outside [f(lo), f(hi)], first {target[0]!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a slope of 0 is masked next
+        x = _hermite_inverse(a, b, fa, fb, da, db)
+    sloped = (0.0 < da) & (da < np.inf) & (0.0 < db) & (db < np.inf)
+    x = np.where(sloped & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))
+    x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
+    fx = f(x) - target
+    for _ in range(max_iter):
+        stop = np.abs(fx) <= tol
+        lower = fx < 0.0
+        a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
+        b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
+        d = deriv(x)
+        newton = np.isfinite(d) & (d > 0.0)
+        step = x - fx / np.where(newton, d, 1.0)
+        inside = newton & (a < step) & (step < b)
+        out[live[stop]] = np.where(inside, step, x)[stop]  # the closing step
+        step = np.where(inside, step, a + 0.5 * (b - a))
+        # a bracket down to adjacent floats ends at its smaller residual
+        adjacent = ~stop & ~((a < step) & (step < b))
+        out[live[adjacent]] = np.where(np.abs(fa) <= np.abs(fb), a, b)[adjacent]
+        keep = ~(stop | adjacent)
+        kept = (live, step, a, fa, b, fb, target, tol)
+        live, x, a, fa, b, fb, target, tol = (v[keep] for v in kept)
+        if not live.size:
+            return out
+        fx = f(x) - target
+    raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
+
+
 def _hermite_inverse(a, b, fa, fb, df_a, df_b):
     """Cubic Hermite interpolant at the target of the inverse of an increasing
     f, from residuals fa < 0 < fb and slopes df_a, df_b at a < b.  Only + - * /

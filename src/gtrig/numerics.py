@@ -305,8 +305,15 @@ def agm(a: float, b: float) -> float:
     for _ in range(64):
         if abs(a - b) <= 2.0 * _EPS * max(a, b):
             break
-        a, b = 0.5 * (a + b), math.sqrt(a) * math.sqrt(b)  # a * b may overflow
-    return 0.5 * (a + b)
+        a, b = _mean(a, b), math.sqrt(a) * math.sqrt(b)  # a * b may overflow
+    return _mean(a, b)
+
+
+def _mean(a: float, b: float) -> float:
+    """(a + b) / 2, halved term by term only where the sum overflows, since
+    halving first would lose the last bit of a subnormal."""
+    total = a + b
+    return 0.5 * total if total < math.inf else 0.5 * a + 0.5 * b
 
 
 def solve_increasing(

@@ -298,6 +298,20 @@ class TestVerify:
         assert reports[0]["identity_id"] == "dbl-2-2"
         assert reports[0]["passed"] is True
 
+    def test_non_finite_errors_are_json_null(self, runner):
+        # json.loads takes Infinity and NaN unless told otherwise
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = run(
+            runner, "verify", "--identity", "dbl-2-2", "--perturb", "inf",
+            "--format", "json", "--samples", "10",
+        )
+        assert result.exit_code == 1
+        (report,) = json.loads(result.stdout, parse_constant=reject)
+        assert report["max_abs_err"] is None
+        assert report["rel_err"] is None
+
     def test_negative_seed_exits_2(self, runner):
         result = run(runner, "verify", "--identity", "dbl-2-2", "--seed", "-1")
         assert result.exit_code == 2
@@ -351,5 +365,22 @@ def test_closed_stdout_exits_1_quietly():
     ) as proc:
         proc.stdout.close()  # before the child has imported gtrig, let alone written
         stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
+def test_reader_closing_mid_table_exits_1_quietly():
+    # the reader goes after one line, so a write inside the row loop fails
+    with subprocess.Popen(
+        [sys.executable, "-m", "gtrig.cli", "table", "--p", "2", "--q", "3",
+         "--fn", "sin", "--from", "0", "--to", "100", "--step", "0.0001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert first == b"x,value\n"
     assert proc.returncode == 1
     assert stderr == b""

@@ -253,10 +253,15 @@ class TestAgm:
         assert abs(got - AGM_1_SQRT2) <= 1e-14 * AGM_1_SQRT2
 
     @pytest.mark.parametrize(
-        "a,b", [(1e-300, 1e300), (1e-200, 1e200), (5e-324, 1.7e308), (1e-100, 1e100)]
+        "a,b",
+        [
+            (1e-300, 1e300), (1e-200, 1e200), (5e-324, 1.7e308), (1e-100, 1e100),
+            (1e308, 1.5e308), (1.7e308, 1.7e308), (5e-324, 5e-324),
+        ],
     )
     def test_means_far_apart_against_mpmath(self, a, b):
-        # the geometric mean is formed without the product a * b, which overflows
+        # the geometric mean is formed without the product a * b, which overflows,
+        # and the arithmetic one without overflowing a + b or halving a subnormal
         mpmath = pytest.importorskip("mpmath")
         want = float(mpmath.agm(a, b))
         assert abs(agm(a, b) - want) <= 1e-14 * want

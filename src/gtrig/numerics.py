@@ -414,7 +414,7 @@ def _solve_increasing_array(f, lo, hi, target, deriv, tol, max_iter, f_lo, f_hi,
     a, fa, b, fb, da, db, target, tol = (v[live] for v in kept)
     if ((fa > 0.0) | (fb < 0.0)).any():
         raise BracketError(f"targets outside [f(lo), f(hi)], first {target[0]!r}")
-    with np.errstate(divide="ignore", invalid="ignore"):  # a slope of 0 is masked next
+    with np.errstate(divide="ignore", invalid="ignore"):  # slopes of 0 or nan are masked next
         x = _hermite_inverse(a, b, fa, fb, da, db)
     sloped = (0.0 < da) & (da < np.inf) & (0.0 < db) & (db < np.inf)
     x = np.where(sloped & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))

@@ -493,7 +493,7 @@ class TestArrayPath:
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
     @pytest.mark.parametrize("pp", [PP23, PP432, ParamPair(5.0, 5.0)], ids=str)
     def test_non_convergence_as_scalar_calls(self, pp, max_iter):
-        # few iterations leave some roots unsolved: the lockstep solve raises
+        # few iterations leave some roots unsolved: the array solve raises
         # exactly when a scalar call does, and else gives the scalar bits
         config = EvalConfig(max_iter=max_iter)
         xs = np.linspace(-6.0, 6.0, 301)

@@ -19,6 +19,7 @@ from gtrig.numerics import (
     incomplete_beta,
     incomplete_beta_array,
     integrate_endpoint_singular,
+    _solve_increasing_array,
     log_gamma,
     solve_increasing,
 )
@@ -401,6 +402,47 @@ class TestSolveIncreasing:
             solve_increasing(lambda s: s, 1.0, 0.0, 0.5)
         with pytest.raises(DomainError):
             solve_increasing(lambda s: s, 0.0, 1.0, 0.5, tol=-1.0)
+
+
+class TestSolveIncreasingArray:
+    """The array twin gives each element the scalar solve's root, bit for bit."""
+
+    @staticmethod
+    def _cube(s):
+        return s * s * s  # arithmetic only: the same bits on floats and arrays
+
+    @staticmethod
+    def _slope(s):
+        return 3.0 * s * s
+
+    def _both(self, targets, df_lo, tol=1e-13, max_iter=100):
+        n = targets.size
+        lo, hi = np.full(n, 0.5), np.ones(n)
+        got = _solve_increasing_array(
+            self._cube, lo, hi, targets, self._slope, np.full(n, tol), max_iter,
+            self._cube(lo), self._cube(hi), df_lo, np.full(n, 3.0),
+        )
+        want = [
+            solve_increasing(
+                self._cube, 0.5, 1.0, t, deriv=self._slope, tol=tol, max_iter=max_iter,
+                f_lo=0.125, f_hi=1.0, df_lo=d, df_hi=3.0,
+            )
+            for t, d in zip(targets.tolist(), df_lo.tolist())
+        ]
+        return got.tolist(), want
+
+    def test_each_root_is_the_scalar_root(self):
+        # end slopes of 0, inf and nan skip the Hermite opening point on both paths
+        targets = np.concatenate([[0.125, 1.0], np.random.default_rng(3).uniform(0.125, 1.0, 64)])
+        got, want = self._both(targets, np.resize([0.75, 0.0, np.inf, np.nan], targets.size))
+        assert got == want
+        assert got[:2] == [0.5, 1.0]
+
+    def test_non_convergence_and_bracket_errors(self):
+        with pytest.raises(NonConvergenceError):
+            self._both(np.array([0.2, 0.9]), np.full(2, 0.75), tol=1e-300, max_iter=1)
+        with pytest.raises(BracketError):
+            self._both(np.array([0.2, 1.5]), np.full(2, 0.75))
 
 
 def _one(t):

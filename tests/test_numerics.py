@@ -195,6 +195,24 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(a, b)
 
+    def test_large_arguments_against_mpmath(self):
+        # lgamma(a) + lgamma(b) - lgamma(a + b) cancels for large a; an error
+        # of e in log B is a relative error of e in B
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+        a_s = np.exp(rng.uniform(math.log(1e-3), math.log(1e20), 6000)).tolist()
+        b_s = np.exp(rng.uniform(math.log(1e-3), math.log(1e8), 6000)).tolist()
+        checked = 0
+        with mpmath.workdps(30):
+            for a, b in [(1e20, 1.0), (1e8, 1.0), *zip(a_s, b_s)]:
+                want = mpmath.beta(a, b)
+                if not 1e-300 < want < 1e300:
+                    continue
+                checked += 1
+                scale = max(1.0, abs(float(mpmath.log(want))))
+                assert abs(beta(a, b) - want) <= 32.0 * math.ulp(1.0) * scale * want, (a, b)
+        assert checked > 3000
+
 
 def plain_incomplete_beta(a, b, x):
     return incomplete_beta(a, b, x, x**a * (1.0 - x) ** b)

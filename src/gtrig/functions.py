@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -170,12 +171,14 @@ def _each(fn, *arrays: np.ndarray) -> np.ndarray:
 def power(base, exponent: float):
     """base**exponent by Python's float power, elementwise on an ndarray."""
     if isinstance(base, np.ndarray):
-        return _each(lambda v: v**exponent, base)
+        flat = map(pow, base.ravel().tolist(), itertools.repeat(exponent))
+        return np.fromiter(flat, float, base.size).reshape(base.shape)
     return base**exponent
 
 
 def _arc_array(p: float, q: float, t: np.ndarray, q_ln_t: np.ndarray, half_pi: float):
-    """``_arc`` over a 1-d array of t, each element on its own branch."""
+    """``_arc`` over a 1-d array of t, each element on its own branch; also
+    returns y = -expm1(q_ln_t), which the upper half's slope reuses."""
     a, b = 1.0 / q, (p - 1.0) / p
     x = _each(math.exp, q_ln_t)
     y = -_each(math.expm1, q_ln_t)
@@ -185,7 +188,7 @@ def _arc_array(p: float, q: float, t: np.ndarray, q_ln_t: np.ndarray, half_pi: f
     part[head] = incomplete_beta_array(a, b, x[head], front[head]) / q
     part[~head] = incomplete_beta_array(b, a, y[~head], front[~head]) / q
     rest = half_pi - part
-    return np.where(head, part, rest), np.where(head, rest, part)
+    return np.where(head, part, rest), np.where(head, rest, part), y
 
 
 @functools.lru_cache(maxsize=256)
@@ -225,7 +228,8 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
     the tail H(w**p_star) = half_pi - r, which straightens out F's infinite
     slope at s = 1 and keeps 1 - s, so the cosine, exact to the quarter period.
     The record holds the target and df on _GRID (tables that only seed solves),
-    f and df at a float, f over a 1-d array, and finish: (s, 1 - s) from a root."""
+    f and df at a float, f_array: (f, df) over a 1-d array from one kernel
+    pass, with df's bits, and finish: (s, 1 - s) from a root."""
     if not upper:
 
         def f(s: float) -> float:
@@ -235,8 +239,11 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-        def f_array(s: np.ndarray) -> np.ndarray:
-            return _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0]
+        def f_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            base, slope = 1.0 - power(s, q), np.full_like(s, math.inf)
+            ok = base > 0.0
+            slope[ok] = power(base[ok], -1.0 / p)
+            return _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0], slope
 
         def finish(s):
             return s, 1.0 - s
@@ -255,9 +262,12 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
                 return math.inf
             return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
 
-        def f_array(w: np.ndarray) -> np.ndarray:
-            v = power(w, pstar)
-            return _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)[1]
+        def f_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            v = power(w, pstar)  # < 1, or log1p(-v) raises: so y is df's base
+            _, f, y = _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)
+            ok, slope = (y > 0.0) & (w > 0.0), np.full_like(w, math.inf)
+            slope[ok] = power(y[ok], -1.0 / p) * pstar * power(w[ok], pstar - 1.0)
+            return f, slope
 
         def finish(w):
             v = power(w, pstar)
@@ -327,8 +337,8 @@ def _evaluate_array(pp: ParamPair, x: np.ndarray, config: EvalConfig) -> tuple:
             table, dtable, grid = (np.asarray(v) for v in (half.table, half.dtable, _GRID))
             j = np.clip(np.searchsorted(table, w[live], side="right") - 1, 0, len(_GRID) - 2)
             w[live] = _solve_increasing_array(
-                half.f_array, grid[j], grid[j + 1], w[live], functools.partial(_each, half.df),
-                tol[m][live], config.max_iter, table[j], table[j + 1], dtable[j], dtable[j + 1],
+                half.f_array, grid[j], grid[j + 1], w[live], tol[m][live], config.max_iter,
+                table[j], table[j + 1], dtable[j], dtable[j + 1],
             )
         s[m], one_minus_s[m] = half.finish(w)
     return tuple(v.reshape(shape) for v in (quadrant, r, s, one_minus_s))
@@ -369,8 +379,13 @@ def _signed_sin(quadrant: int, s: float) -> float:
 def _signed_cos(pp: ParamPair, quadrant: int, s: float, one_minus_s: float) -> float:
     """The cosine from |sin| = s, its base 1 - s**q formed cancellation-free
     from 1 - s; positive on quadrants 0 and 3, and never -0.0."""
-    if isinstance(s, np.ndarray):  # point by point: log1p(-1) raises where s = 0
-        return _each(functools.partial(_signed_cos, pp), quadrant, s, one_minus_s)
+    if isinstance(s, np.ndarray):  # the scalar steps, under masks
+        low = s <= 0.5  # s = 0 among them, where log1p(-1) would raise
+        base = np.empty_like(s)
+        base[low] = 1.0 - power(s[low], pp.q)
+        base[~low] = -_each(math.expm1, pp.q * _each(math.log1p, -one_minus_s[~low]))
+        magnitude = fractional_power(base, 1.0 / pp.p)
+        return np.where((quadrant == 0) | (quadrant == 3), magnitude + 0.0, 0.0 - magnitude)
     if s <= 0.5:
         base = 1.0 - s**pp.q
     else:
@@ -411,10 +426,10 @@ def arcsin_pq(pp: ParamPair, s: float, config: EvalConfig = DEFAULT_CONFIG) -> f
         flat = _real_array(s, "s").ravel()
         if not ((flat >= 0.0) & (flat <= 1.0)).all():
             raise DomainError("arcsin_pq requires every s in [0, 1]")
-        lower = _pair_record(pp.p, pp.q, config.quad_tol)[1]
+        half_pi = _pair_record(pp.p, pp.q, config.quad_tol)[0]
         out = np.zeros(flat.size)
-        nz = flat != 0.0
-        out[nz] = lower.f_array(flat[nz])
+        nz, q = flat != 0.0, pp.q
+        out[nz] = _arc_array(pp.p, q, flat[nz], q * _each(math.log, flat[nz]), half_pi)[0]
         return out.reshape(s.shape)
     s = s if type(s) is float else _real(s, "s")
     if not 0.0 <= s <= 1.0:

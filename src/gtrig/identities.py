@@ -8,7 +8,9 @@ or a chain), so a sweep can report the maximum absolute deviation at one
 evaluation of each function value per point: 1 inversion for pythagorean,
 0 for duality-pi, 3 for lemniscate-add and 2 for every other entry.  A sweep
 passes ``sides`` the ndarray of all points of an instance at once, and gets
-arrays with the same bits as calls at each point would give.
+arrays with the same bits as calls at each point would give.  On arrays an
+evaluator makes one array call per pair: where it needs one pair at several
+arguments, it inverts their stack at once.
 The vocabulary of identity ids is stable public API:
 
 ========================  =====================================================
@@ -210,12 +212,22 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
 }
 
 
+def _sin_cos_at(pp: ParamPair, config: EvalConfig, *xs) -> tuple[tuple, ...]:
+    """sin_cos(pp, x) for each of xs: one array call over their stack if they
+    are arrays, else one scalar call each (an array call costs ~600 us).  Its
+    sine has the bits of sin_pq(pp, x).value."""
+    if isinstance(xs[0], np.ndarray):
+        return tuple(zip(*sin_cos(pp, np.stack(xs), config)))
+    return tuple(sin_cos(pp, x, config) for x in xs)
+
+
 def _double_angle(identity_id: str, config: EvalConfig) -> IdentitySpec:
     (p, q), domain, rhs = _DOUBLE_ANGLES[identity_id]
     pp = ParamPair(p, q)
 
     def sides(x: float) -> tuple[float, float]:
-        return sin_pq(pp, 2.0 * x, config).value, rhs(*sin_cos(pp, x, config))
+        (s2, _), sc = _sin_cos_at(pp, config, 2.0 * x, x)
+        return s2, rhs(*sc)
 
     return IdentitySpec(identity_id, pp, domain(pi_pq(pp, config)), sides)
 
@@ -233,11 +245,12 @@ def _pythagorean(pp: ParamPair, config: EvalConfig) -> IdentitySpec:
 def _half_power(c2: float, s2: float, p: float, expo: float) -> float:
     """((1 - c2)/2)**expo on the pair (2, p), with 1 - c2 written through s2 where
     c2 > 0.5, so it stays accurate where c2 is within an ulp of 1; -c2 gives 1 + c2.
-    Arrays are taken point by point."""
-    if isinstance(c2, np.ndarray):
-        return _each(partial(_half_power, p=p, expo=expo), c2, s2)
+    Arrays take the same steps under a mask."""
     u = 1.0 - c2
-    if c2 > 0.5:
+    if isinstance(c2, np.ndarray):
+        big = c2 > 0.5
+        u[big] = -_each(math.expm1, 0.5 * _each(math.log1p, -fractional_power(s2[big], p)))
+    elif c2 > 0.5:
         u = -math.expm1(0.5 * math.log1p(-fractional_power(s2, p)))
     return fractional_power(0.5 * u, expo)
 
@@ -307,12 +320,8 @@ def _lemniscate_add(config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(_PP24, config)
 
     def sides(u: float, v: float) -> tuple[float, float]:
-        su, cu = sin_cos(_PP24, u, config)
-        sv, cv = sin_cos(_PP24, v, config)
-        return (
-            sin_pq(_PP24, u + v, config).value,
-            (su * cv + cu * sv) / (1.0 + power(su, 2) * power(sv, 2)),
-        )
+        (su, cu), (sv, cv), (suv, _) = _sin_cos_at(_PP24, config, u, v, u + v)
+        return suv, (su * cv + cu * sv) / (1.0 + power(su, 2) * power(sv, 2))
 
     return IdentitySpec("lemniscate-add", _PP24, (0.0, half), sides, arity=2)
 
@@ -350,11 +359,8 @@ def _proof_gx(config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float]:
-        gh = sin_pq(_PP24, 0.5 * x, config).value
-        return (
-            sin_pq(_PP24, x, config).value,
-            2.0 * gh * fractional_power(1.0 - power(gh, 4), 0.5) / (1.0 + power(gh, 4)),
-        )
+        (gh, _), (g, _) = _sin_cos_at(_PP24, config, 0.5 * x, x)
+        return g, 2.0 * gh * fractional_power(1.0 - power(gh, 4), 0.5) / (1.0 + power(gh, 4))
 
     return IdentitySpec("proof-gx", _PP24, (0.0, half), sides)
 

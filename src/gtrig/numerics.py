@@ -284,8 +284,10 @@ def incomplete_beta_array(a: float, b: float, x: np.ndarray, front: np.ndarray) 
     """``incomplete_beta`` over 1-d arrays of x and front in lockstep: each
     element runs the scalar recurrence, guards and stop test, and leaves the
     loop at the step where it would, so its result is the scalar one's bits."""
-    ab, a1 = a + b, a + 1.0
     out = np.empty_like(x)
+    if not x.size:
+        return out
+    ab, a1 = a + b, a + 1.0
     live = np.arange(x.size)
     c = np.ones_like(x)
     d = 1.0 - ab * x / a1
@@ -423,11 +425,13 @@ def solve_increasing(
     )
 
 
-def _solve_increasing_array(f, lo, hi, target, deriv, tol, max_iter, f_lo, f_hi, df_lo, df_hi):
+def _solve_increasing_array(f, lo, hi, target, tol, max_iter, f_lo, f_hi, df_lo, df_hi):
     """``solve_increasing`` for each element of 1-d arrays of brackets, targets,
-    tols, end values and end slopes at once; ``f`` and ``deriv`` map arrays.
-    Each element takes the steps of its own scalar solve and leaves as it
-    stops, so every root equals the scalar one bit for bit."""
+    tols, end values and end slopes at once.  ``f`` maps an array x to the pair
+    (f(x), deriv(x)): the scalar solve asks for deriv at each point right after
+    f, so one pass serves both.  Each element takes the steps of its own scalar
+    solve and leaves as it stops, so every root equals the scalar one bit for
+    bit when f and deriv give the scalar functions' bits."""
     flo, fhi = f_lo - target, f_hi - target
     out = np.where(np.abs(flo) <= tol, lo, hi)
     live = np.flatnonzero((np.abs(flo) > tol) & (np.abs(fhi) > tol))
@@ -440,13 +444,13 @@ def _solve_increasing_array(f, lo, hi, target, deriv, tol, max_iter, f_lo, f_hi,
     sloped = (0.0 < da) & (da < np.inf) & (0.0 < db) & (db < np.inf)
     x = np.where(sloped & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))
     x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
-    fx = f(x) - target
     for _ in range(max_iter):
+        fx, d = f(x)
+        fx = fx - target
         stop = np.abs(fx) <= tol
         lower = fx < 0.0
         a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
         b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
-        d = deriv(x)
         newton = np.isfinite(d) & (d > 0.0)
         step = x - fx / np.where(newton, d, 1.0)
         inside = newton & (a < step) & (step < b)
@@ -460,7 +464,6 @@ def _solve_increasing_array(f, lo, hi, target, deriv, tol, max_iter, f_lo, f_hi,
         live, x, a, fa, b, fb, target, tol = (v[keep] for v in kept)
         if not live.size:
             return out
-        fx = f(x) - target
     raise NonConvergenceError(f"{live.size} roots not within tol after {max_iter} iterations")
 
 

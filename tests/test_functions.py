@@ -18,8 +18,10 @@ from gtrig.functions import (
     FunctionValue,
     ParamPair,
     _CLAMP_THRESHOLD,
+    _GRID,
     _arc,
     _pair_record,
+    _signed_cos,
     arcsin_pq,
     cos_pq,
     fractional_power,
@@ -525,6 +527,41 @@ class TestArrayPath:
             got = fractional_power(bases, exponent)
             want = [fractional_power(b, exponent) for b in bases.tolist()]
             assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+class TestArrayPieces:
+    """The array solve's (F, F') pass and the array cosine give the bits of
+    the scalar functions they stand for."""
+
+    PAIRS = TestArrayPath.PAIRS
+
+    @staticmethod
+    def _points(upper):
+        nodes = [w for w in _GRID if w > 0.0]
+        ws = nodes + [np.nextafter(w, 0.0) for w in nodes] + [np.nextafter(w, 2.0) for w in nodes]
+        ws += [1e-300, 1e-200, 1e-100, 1e-20] + [1.0 - k * 2.0**-53 for k in (1, 2, 3, 4, 8)]
+        return np.array(sorted(w for w in ws if w < 1.0 or (w == 1.0 and not upper)))
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_fused_value_and_slope_match_f_and_df(self, pp, upper):
+        half = _pair_record(pp.p, pp.q, DEFAULT_CONFIG.quad_tol)[2 if upper else 1]
+        ws = self._points(upper)
+        f, df = half.f_array(ws)
+        assert [_bits(v) for v in f] == [_bits(half.f(w)) for w in ws.tolist()]
+        assert [_bits(v) for v in df] == [_bits(half.df(w)) for w in ws.tolist()]
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_signed_cos_matches_scalar_in_every_quadrant(self, pp):
+        s = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.9, 1.0, 1.0])
+        one_minus_s = 1.0 - s
+        one_minus_s[-2:] = (2.0**-53, 0.0)
+        for quadrant in range(4):
+            quadrants = np.full(s.size, quadrant)
+            got = _signed_cos(pp, quadrants, s, one_minus_s)
+            want = [_signed_cos(pp, quadrant, *v) for v in zip(s.tolist(), one_minus_s.tolist())]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            assert not any(_bits(v) == _bits(-0.0) for v in got)
 
 
 class TestKernelCallsPerInversion:

@@ -23,6 +23,7 @@ from gtrig.numerics import (
     log_gamma,
     solve_increasing,
 )
+from gtrig import numerics
 from gtrig.identities import verify
 
 from conftest import AGM_1_SQRT2, LOG_GAMMA_HALF, LOG_GAMMA_THIRD
@@ -257,6 +258,11 @@ class TestIncompleteBeta:
             assert got.tolist() == want
         assert incomplete_beta_array(0.5, 0.5, np.array([]), np.array([])).shape == (0,)
 
+    def test_array_form_returns_at_once_on_empty_input(self, monkeypatch):
+        # with no fraction steps allowed, reaching the fraction loop would raise
+        monkeypatch.setattr(numerics, "_CF_MAX_STEPS", 0)
+        assert incomplete_beta_array(0.5, 0.5, np.array([]), np.array([])).shape == (0,)
+
     def test_array_form_non_convergence_raises(self):
         with pytest.raises(NonConvergenceError):
             incomplete_beta_array(1.0, 1e6, np.array([0.1, 0.9]), np.array([1.0, 1.0]))
@@ -437,8 +443,8 @@ class TestSolveIncreasingArray:
         n = targets.size
         lo, hi = np.full(n, 0.5), np.ones(n)
         got = _solve_increasing_array(
-            self._cube, lo, hi, targets, self._slope, np.full(n, tol), max_iter,
-            self._cube(lo), self._cube(hi), df_lo, np.full(n, 3.0),
+            lambda s: (self._cube(s), self._slope(s)), lo, hi, targets, np.full(n, tol),
+            max_iter, self._cube(lo), self._cube(hi), df_lo, np.full(n, 3.0),
         )
         want = [
             solve_increasing(

@@ -3,7 +3,9 @@
     PYTHONPATH=<tree>/src python3 tools/output_hash.py
 
 Two trees that print the same line give the same bits on every input below,
-so a change meant to keep the values can be checked against its parent.
+so a change meant to keep the values can be checked against its parent.  The
+line of the current tree is pinned in ``tools/output_hash.expected``, which CI
+compares with the output; a change meant to move values updates it.
 Hashed, on the pairs of ``PQ_PANEL`` and (2, 2), (1.05, 1000), (1000, 1.05):
 
 * ``sin_pq``, ``cos_pq`` (value, quadrant, reduced_x) and ``sin_cos``, one

@@ -16,9 +16,9 @@ For (p, q) = (2, 2) all of this reduces to the circular functions and pi.
 
 The substitution u = t**q turns F into the incomplete Beta function
 (1/q) B_{x**q}(1/q, 1 - 1/p).  One kernel, ``_arc``, sums its continued
-fraction and gives F together with its tail F(1) - F; the inversion seeds
-each root solve from 17-node tables of either and its slope, by bisection.
-pi_pq alone is integrated by quadrature.
+fraction and gives F with its tail F(1) - F; a root solve opens from 17-node
+tables of either and its slope, and most end there, after one kernel pass,
+with a Halley step from F''.  pi_pq alone is integrated by quadrature.
 """
 
 from __future__ import annotations
@@ -97,7 +97,9 @@ class EvalConfig:
     target is r = reduced_x on the lower half of [0, pi_pq/2], and pi_pq/2 - r
     on the upper, solved for v = 1 - s.  F' >= 1 in s and in v, so |s - s_true|
     is at most that too, and the closing Newton step moves s toward s_true by
-    at most as much; add the errors of the kernel and of the reduction.
+    at most as much; add the errors of the kernel and of the reduction.  Most
+    solves stop sooner, with Halley's step from the opening point, where the
+    local quadratic model of F predicts Newton's step to leave at most that.
     That bounds sin_pq for any root_tol; near the quarter period cos_pq has none.
     """
 
@@ -219,7 +221,7 @@ def pi_pq(pp: ParamPair, config: EvalConfig = DEFAULT_CONFIG) -> float:
     return 2.0 * _pair_record(pp.p, pp.q, config.quad_tol)[0]
 
 
-_Half = namedtuple("_Half", "table dtable f df f_array finish")
+_Half = namedtuple("_Half", "table dtable f df d2f f_array finish")
 
 
 def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
@@ -228,8 +230,9 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
     the tail H(w**p_star) = half_pi - r, which straightens out F's infinite
     slope at s = 1 and keeps 1 - s, so the cosine, exact to the quarter period.
     The record holds the target and df on _GRID (tables that only seed solves),
-    f and df at a float, f_array: (f, df) over a 1-d array from one kernel
-    pass, with df's bits, and finish: (s, 1 - s) from a root."""
+    f, df and d2f = F'' (nan where df is inf) at a float; f_array(w, curve):
+    (f, df), and d2f if curve, over a 1-d array from one kernel pass with the
+    scalar bits; and finish: (s, 1 - s) from a root."""
     if not upper:
 
         def f(s: float) -> float:
@@ -239,11 +242,19 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
             base = 1.0 - s**q
             return math.inf if base <= 0.0 else base ** (-1.0 / p)
 
-        def f_array(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def d2f(s: float) -> float:
+            slope = df(s)  # F'' = (q/p) s**(q-1) F' / (1 - s**q)
+            return q / p * s ** (q - 1.0) * slope / (1.0 - s**q) if slope < math.inf else math.nan
+
+        def f_array(s: np.ndarray, curve: bool = False) -> tuple:
             base, slope = 1.0 - power(s, q), np.full_like(s, math.inf)
             ok = base > 0.0
             slope[ok] = power(base[ok], -1.0 / p)
-            return _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0], slope
+            f = _arc_array(p, q, s, q * _each(math.log, s), half_pi)[0]
+            if not curve:
+                return f, slope
+            with np.errstate(divide="ignore", invalid="ignore"):  # only where slope is inf
+                return f, slope, np.where(ok, q / p * power(s, q - 1.0) * slope / base, math.nan)
 
         def finish(s):
             return s, 1.0 - s
@@ -262,19 +273,33 @@ def _half(p: float, q: float, half_pi: float, upper: bool) -> _Half:
                 return math.inf
             return base ** (-1.0 / p) * pstar * w ** (pstar - 1.0)
 
-        def f_array(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def d2f(w: float) -> float:
+            slope, v = df(w), w**pstar  # G'' = G' ((p* - 1)/w - B'/(p B)), B = df's base
+            if slope == math.inf:
+                return math.nan
+            dy = q * (1.0 - v) ** (q - 1.0) * pstar * w ** (pstar - 1.0)  # B'
+            return slope * ((pstar - 1.0) / w - dy / (p * -math.expm1(q * math.log1p(-v))))
+
+        def f_array(w: np.ndarray, curve: bool = False) -> tuple:
             v = power(w, pstar)  # < 1, or log1p(-v) raises: so y is df's base
             _, f, y = _arc_array(p, q, 1.0 - v, q * _each(math.log1p, -v), half_pi)
             ok, slope = (y > 0.0) & (w > 0.0), np.full_like(w, math.inf)
-            slope[ok] = power(y[ok], -1.0 / p) * pstar * power(w[ok], pstar - 1.0)
-            return f, slope
+            wk, y, pw = w[ok], y[ok], power(w[ok], pstar - 1.0)
+            slope[ok] = power(y, -1.0 / p) * pstar * pw
+            if not curve:
+                return f, slope
+            curvature = np.full_like(w, math.nan)
+            dy = q * power(1.0 - v[ok], q - 1.0) * pstar * pw
+            with np.errstate(over="ignore"):  # (p* - 1)/w may overflow to inf, as on floats
+                curvature[ok] = slope[ok] * ((pstar - 1.0) / wk - dy / (p * y))
+            return f, slope, curvature
 
         def finish(w):
             v = power(w, pstar)
             return 1.0 - v, v
 
     table, dtable = (0.0, *map(f, _GRID[1:-1]), half_pi), tuple(map(df, _GRID))
-    return _Half(table, dtable, f, df, f_array, finish)
+    return _Half(table, dtable, f, df, d2f, f_array, finish)
 
 
 def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, float, float]:
@@ -296,7 +321,7 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
         quadrant = 3 - quadrant
     # the upper half's target half_pi - r is exact, as r >= half_pi / 2
     half, target = (lower, r) if r <= 0.5 * half_pi else (upper, half_pi - r)
-    table, dtable, f, df, _, finish = half
+    table, dtable, f, df, d2f, _, finish = half
     tol = config.root_tol * min(1.0, target)
     if tol == 0.0:
         # the target is 0 at r = 0 and r = half_pi, where w = 0 is exact; else
@@ -308,7 +333,7 @@ def _evaluate(pp: ParamPair, x: float, config: EvalConfig) -> tuple[int, float, 
         w = solve_increasing(
             f, _GRID[j], _GRID[j + 1], target, deriv=df, tol=tol,
             max_iter=config.max_iter, f_lo=table[j], f_hi=table[j + 1],
-            df_lo=dtable[j], df_hi=dtable[j + 1],
+            df_lo=dtable[j], df_hi=dtable[j + 1], curvature=d2f,
         )
     s, one_minus_s = finish(w)
     return quadrant, r, s, one_minus_s

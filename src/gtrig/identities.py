@@ -56,15 +56,8 @@ import numpy as np
 
 from .errors import DomainError, UnknownIdentityError
 from .functions import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    ParamPair,
-    _each,
-    fractional_power,
-    pi_pq,
-    power,
-    sin_cos,
-    sin_pq,
+    DEFAULT_CONFIG, EvalConfig, ParamPair, _each, _evaluate, _signed_cos, _signed_sin,
+    fractional_power, pi_pq, power, sin_cos, sin_pq,
 )
 from .numerics import _integer, _positive, _real
 
@@ -212,13 +205,17 @@ _DOUBLE_ANGLES: dict[str, tuple[tuple[float, float], Callable, Callable]] = {
 }
 
 
-def _sin_cos_at(pp: ParamPair, config: EvalConfig, *xs) -> tuple[tuple, ...]:
-    """sin_cos(pp, x) for each of xs: one array call over their stack if they
-    are arrays, else one scalar call each (an array call costs ~600 us).  Its
-    sine has the bits of sin_pq(pp, x).value."""
-    if isinstance(xs[0], np.ndarray):
-        return tuple(zip(*sin_cos(pp, np.stack(xs), config)))
-    return tuple(sin_cos(pp, x, config) for x in xs)
+def _sin_cos_at(pp: ParamPair, config: EvalConfig, xs: tuple, reads: tuple) -> tuple[tuple, ...]:
+    """sin_cos(pp, x) for each of xs, the cosine None where its flag in ``reads``
+    is false: one inversion of their stack if they are arrays (a call costs
+    ~600 us), else a sin_cos or sin_pq call each, with the bits of either."""
+    if not isinstance(xs[0], np.ndarray):
+        return tuple(sin_cos(pp, x, config) if read else (sin_pq(pp, x, config).value, None)
+                     for x, read in zip(xs, reads))
+    quadrant, _, s, one_minus_s = _evaluate(pp, np.stack(xs), config)
+    return tuple((_signed_sin(quadrant[i], s[i]),
+                  _signed_cos(pp, quadrant[i], s[i], one_minus_s[i]) if read else None)
+                 for i, read in enumerate(reads))
 
 
 def _double_angle(identity_id: str, config: EvalConfig) -> IdentitySpec:
@@ -226,7 +223,7 @@ def _double_angle(identity_id: str, config: EvalConfig) -> IdentitySpec:
     pp = ParamPair(p, q)
 
     def sides(x: float) -> tuple[float, float]:
-        (s2, _), sc = _sin_cos_at(pp, config, 2.0 * x, x)
+        (s2, _), sc = _sin_cos_at(pp, config, (2.0 * x, x), (False, True))
         return s2, rhs(*sc)
 
     return IdentitySpec(identity_id, pp, domain(pi_pq(pp, config)), sides)
@@ -284,14 +281,15 @@ _MULTIPLE_ANGLES: dict[str, tuple[Callable[..., tuple[float, ...]], dict]] = {
 
 def _multiple_angle(identity_id: str, p: float, config: EvalConfig) -> IdentitySpec:
     sides_of, fields = _MULTIPLE_ANGLES[identity_id]
+    read_c, read_c2 = identity_id != "half-sin", identity_id != "maf-sin"  # else c, c2 are None
     outer = ParamPair(2.0, p)  # checks p before p* divides by p - 1
     pstar = p / (p - 1.0)
     inner = ParamPair(pstar, p)
     k = 2.0 ** (2.0 / p)
 
     def sides(x: float) -> tuple[float, ...]:
-        s, c = sin_cos(inner, x, config)
-        s2, c2 = sin_cos(outer, k * x, config)
+        ((s, c),) = _sin_cos_at(inner, config, (x,), (read_c,))
+        ((s2, c2),) = _sin_cos_at(outer, config, (k * x,), (read_c2,))
         return sides_of(p, pstar, k, s, c, s2, c2)
 
     half = 0.5 * pi_pq(inner, config)
@@ -320,7 +318,7 @@ def _lemniscate_add(config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(_PP24, config)
 
     def sides(u: float, v: float) -> tuple[float, float]:
-        (su, cu), (sv, cv), (suv, _) = _sin_cos_at(_PP24, config, u, v, u + v)
+        (su, cu), (sv, cv), (suv, _) = _sin_cos_at(_PP24, config, (u, v, u + v), (True, True, False))
         return suv, (su * cv + cu * sv) / (1.0 + power(su, 2) * power(sv, 2))
 
     return IdentitySpec("lemniscate-add", _PP24, (0.0, half), sides, arity=2)
@@ -359,7 +357,7 @@ def _proof_gx(config: EvalConfig) -> IdentitySpec:
     half = 0.5 * pi_pq(_PP24, config)
 
     def sides(x: float) -> tuple[float, float]:
-        (gh, _), (g, _) = _sin_cos_at(_PP24, config, 0.5 * x, x)
+        (gh, _), (g, _) = _sin_cos_at(_PP24, config, (0.5 * x, x), (False, False))
         return g, 2.0 * gh * fractional_power(1.0 - power(gh, 4), 0.5) / (1.0 + power(gh, 4))
 
     return IdentitySpec("proof-gx", _PP24, (0.0, half), sides)

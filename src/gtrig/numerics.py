@@ -352,6 +352,7 @@ def solve_increasing(
     f_hi: Optional[float] = None,
     df_lo: float = math.nan,
     df_hi: float = math.nan,
+    curvature: Optional[Callable[[float], float]] = None,
 ) -> float:
     """Solve f(s) = target for a strictly increasing f on [lo, hi].
 
@@ -363,6 +364,13 @@ def solve_increasing(
     steps stall long before the residual does.  Once it passes at x, the
     closing Newton step from x is returned if it lies strictly inside the
     bracket, else x; it calls deriv, not f, and takes the error to roundoff.
+
+    With ``curvature`` (f''), an opening point x0 that fails the test may
+    still end the solve at no further call of f: from its residual r0, with
+    Newton's step dn = r0/f' and Halley's dh = dn / (1 - dn f''/(2 f')),
+    x0 - dh is returned if f' and f'' are finite, Newton's own predicted
+    residual |dn - dh| f' is at most tol and x0 - dh is strictly inside the
+    bracket; else the iteration goes on as it would without ``curvature``.
 
     ``f_lo`` / ``f_hi`` accept already-computed endpoint values so callers
     holding tabulated brackets do not pay two extra evaluations.  With the
@@ -412,6 +420,13 @@ def solve_increasing(
                 step_x = x - fx / d
         if abs(fx) <= tol:
             return step_x if a < step_x < b else x
+        if curvature is not None and step_x == step_x:  # Newton's step exists
+            d2, dn = curvature(x), fx / d
+            denom = 1.0 - dn * d2 / (2.0 * d)
+            dh = dn / denom if denom > 0.0 else math.nan
+            if math.isfinite(d2) and abs(dn - dh) * d <= tol and a < x - dh < b:
+                return x - dh
+        curvature = None  # the Halley step is tried at the opening point only
         if not (a < step_x < b):
             step_x = a + 0.5 * (b - a)
             if not (a < step_x < b):
@@ -426,12 +441,13 @@ def solve_increasing(
 
 
 def _solve_increasing_array(f, lo, hi, target, tol, max_iter, f_lo, f_hi, df_lo, df_hi):
-    """``solve_increasing`` for each element of 1-d arrays of brackets, targets,
-    tols, end values and end slopes at once.  ``f`` maps an array x to the pair
-    (f(x), deriv(x)): the scalar solve asks for deriv at each point right after
-    f, so one pass serves both.  Each element takes the steps of its own scalar
-    solve and leaves as it stops, so every root equals the scalar one bit for
-    bit when f and deriv give the scalar functions' bits."""
+    """``solve_increasing``, with a curvature, for each element of 1-d arrays of
+    brackets, targets, tols, end values and end slopes at once.  ``f(x, curve)``
+    maps an array x to (f(x), deriv(x)), and to (f(x), deriv(x), curvature(x))
+    if curve, as at the opening point: the scalar solve asks for each right
+    after f, so one pass serves all.  Each element takes the steps of its own
+    scalar solve and leaves as it stops, so every root equals the scalar one
+    bit for bit when f, deriv and curvature give the scalar functions' bits."""
     flo, fhi = f_lo - target, f_hi - target
     out = np.where(np.abs(flo) <= tol, lo, hi)
     live = np.flatnonzero((np.abs(flo) > tol) & (np.abs(fhi) > tol))
@@ -444,17 +460,28 @@ def _solve_increasing_array(f, lo, hi, target, tol, max_iter, f_lo, f_hi, df_lo,
     sloped = (0.0 < da) & (da < np.inf) & (0.0 < db) & (db < np.inf)
     x = np.where(sloped & (a < x) & (x < b), x, a - fa * (b - a) / (fb - fa))
     x = np.where((a < x) & (x < b), x, a + 0.5 * (b - a))
+    curve = True
     for _ in range(max_iter):
-        fx, d = f(x)
+        fx, d, *d2 = f(x, curve)
         fx = fx - target
         stop = np.abs(fx) <= tol
         lower = fx < 0.0
         a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
         b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
         newton = np.isfinite(d) & (d > 0.0)
-        step = x - fx / np.where(newton, d, 1.0)
+        dn = fx / np.where(newton, d, 1.0)
+        step = x - dn
         inside = newton & (a < step) & (step < b)
         out[live[stop]] = np.where(inside, step, x)[stop]  # the closing step
+        if curve:  # the opening point's Halley step; values masked out may be inf or nan
+            with np.errstate(all="ignore"):
+                denom = 1.0 - dn * d2[0] / (2.0 * d)
+                dh = dn / np.where(denom > 0.0, denom, 1.0)
+                root = x - dh
+                halley = ~stop & newton & np.isfinite(d2[0]) & (denom > 0.0) & (a < root)
+                halley &= (root < b) & (np.abs(dn - dh) * d <= tol)
+            out[live[halley]] = root[halley]
+            stop, curve = stop | halley, False
         step = np.where(inside, step, a + 0.5 * (b - a))
         # a bracket down to adjacent floats ends at its smaller residual
         adjacent = ~stop & ~((a < step) & (step < b))

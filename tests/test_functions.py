@@ -90,7 +90,7 @@ class TestNumpyScalarExponents:
         sin_cos(ParamPair(np.float32(2.5), np.int64(3)), 0.7)
         got = sin_cos(ParamPair(2.5, 3.0), 0.7)
         assert [type(v) for v in got] == [float, float]
-        assert [_bits(v) for v in got] == [_bits(0.6759777789548417), _bits(0.8626210441237253)]
+        assert [_bits(v) for v in got] == [_bits(0.6759777789548416), _bits(0.8626210441237254)]
 
 
 class TestEvalConfig:
@@ -551,6 +551,23 @@ class TestArrayPieces:
         assert [_bits(v) for v in f] == [_bits(half.f(w)) for w in ws.tolist()]
         assert [_bits(v) for v in df] == [_bits(half.df(w)) for w in ws.tolist()]
 
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_opening_pass_curvature_matches_d2f(self, pp, upper):
+        # nan where the slope is inf: at w = 0 on the upper half, s = 1 on the lower
+        half = _pair_record(pp.p, pp.q, DEFAULT_CONFIG.quad_tol)[2 if upper else 1]
+        ws = self._points(upper)
+        ws = np.concatenate([[0.0], ws]) if upper else ws
+        f, df, d2f = half.f_array(ws, True)
+        for got, want in zip((f, df), half.f_array(ws)):
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert [_bits(v) for v in d2f] == [_bits(half.d2f(w)) for w in ws.tolist()]
+        assert math.isnan(d2f[0] if upper else d2f[-1]) and np.isinf(df[0] if upper else df[-1])
+        # and it is the derivative of df
+        for w in (0.1, 0.3, 0.5, 0.7, 0.9):
+            central = (half.df(w + 1e-6) - half.df(w - 1e-6)) / 2e-6
+            assert half.d2f(w) == pytest.approx(central, rel=1e-5, abs=1e-5)
+
     @pytest.mark.parametrize("pp", PAIRS, ids=str)
     def test_signed_cos_matches_scalar_in_every_quadrant(self, pp):
         s = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.9, 1.0, 1.0])
@@ -565,8 +582,9 @@ class TestArrayPieces:
 
 
 class TestKernelCallsPerInversion:
-    """A warm inversion opens at the Hermite point of its seed cell and
-    closes with a Newton step, so it makes about two kernel passes."""
+    """A warm inversion opens at the Hermite point of its seed cell, and most
+    end there with a Halley step from the curvature at that point, so it
+    makes about one kernel pass."""
 
     PAIRS = [PP23, PP432, ParamPair(5.0, 5.0)]
 
@@ -599,7 +617,7 @@ class TestKernelCallsPerInversion:
         calls = self._counted(monkeypatch)
         for x in xs.tolist():
             sin_cos(pp, x)
-        assert calls[0] / xs.size <= 2.3
+        assert calls[0] / xs.size <= 1.45
 
     @pytest.mark.parametrize("pp", PAIRS, ids=str)
     def test_array_inversion(self, pp, monkeypatch):
@@ -607,7 +625,50 @@ class TestKernelCallsPerInversion:
         sin_cos(pp, 1.0)
         calls = self._counted(monkeypatch)
         sin_cos(pp, xs)
-        assert calls[0] / xs.size <= 2.3
+        assert calls[0] / xs.size <= 1.45
+
+
+class TestRootsAgainstMpmath:
+    """Each root of an inversion, on the scalar and on the array path, solves
+    F(s) = r to the root tolerance against 30-digit mpmath, on both halves:
+    |F(s) - r| <= root_tol min(1, t) + a few eps max(1, r), where the target t
+    is r on the lower half and pi_pq/2 - r on the upper, which is solved in
+    v = 1 - s.  Most roots end at the opening point's Halley step."""
+
+    PAIRS = TestArrayPath.PAIRS
+
+    @pytest.mark.parametrize("pp", PAIRS, ids=str)
+    def test_roots(self, pp):
+        mpmath = pytest.importorskip("mpmath")
+        eps, root_tol = 2.0**-52, DEFAULT_CONFIG.root_tol
+        half = 0.5 * pi_pq(pp)
+        rng = np.random.default_rng(2210)
+        rs = np.concatenate([
+            rng.uniform(0.0, 0.5 * half, 12), 10.0 ** rng.uniform(-12.0, -1.0, 4),
+            rng.uniform(0.5 * half, half, 12), half - 10.0 ** rng.uniform(-12.0, -1.0, 4),
+        ])
+        p, q = pp.p, pp.q
+        _, r_array, s_array, v_array = functions._evaluate(pp, rs, DEFAULT_CONFIG)
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(1) / q, 1 - mpmath.mpf(1) / p
+            half_mp = mpmath.beta(a, b) / q
+            for k, x in enumerate(rs.tolist()):
+                _, r, s, v = functions._evaluate(pp, x, DEFAULT_CONFIG)
+                assert (r, s, v) == (r_array[k], s_array[k], v_array[k])
+                if r <= 0.5 * half:
+                    got, target = mpmath.betainc(a, b, 0, mpmath.mpf(s) ** q) / q, r
+                elif v < 1e-3:
+                    # 30 digits do not hold 1 - v for a tiny v: take the tail
+                    # F(1) - F(1 - v) = (1/q) B_y(1 - 1/p, 1/q), y = 1 - (1 - v)**q
+                    y = -mpmath.expm1(q * mpmath.log1p(-mpmath.mpf(v)))
+                    got, target = half_mp - mpmath.betainc(b, a, 0, y) / q, half - r
+                else:
+                    tail = mpmath.betainc(a, b, (1 - mpmath.mpf(v)) ** q, 1) / q
+                    got, target = half_mp - tail, half - r
+                err = float(abs(got - r))
+                assert err <= root_tol * min(1.0, target) + 4.0 * eps * max(1.0, r), (x, err)
+                # and in fact to a few eps: a curvature off by a factor would show here
+                assert err <= 24.0 * eps * max(1.0, r), (x, err)
 
 
 class TestExtensionInvariants:

@@ -380,6 +380,8 @@ class TestInversionsPerPoint:
 
         monkeypatch.setattr(identities, "sin_cos", counted(identities.sin_cos))
         monkeypatch.setattr(identities, "sin_pq", counted(identities.sin_pq))
+        # a stack of arguments of one pair is inverted by one _evaluate call
+        monkeypatch.setattr(identities, "_evaluate", counted(identities._evaluate))
         rep = verify(identity_id, samples=20)
         assert calls == self.EXPECTED.get(identity_id, 2) * rep.samples
 

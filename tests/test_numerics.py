@@ -439,17 +439,25 @@ class TestSolveIncreasingArray:
     def _slope(s):
         return 3.0 * s * s
 
+    @staticmethod
+    def _curvature(s):
+        return 6.0 * s
+
+    def _pass(self, s, curve=False):
+        # the array solve's f: value and slope, and the curvature where asked
+        return (self._cube(s), self._slope(s), self._curvature(s))[: 3 if curve else 2]
+
     def _both(self, targets, df_lo, tol=1e-13, max_iter=100):
         n = targets.size
         lo, hi = np.full(n, 0.5), np.ones(n)
         got = _solve_increasing_array(
-            lambda s: (self._cube(s), self._slope(s)), lo, hi, targets, np.full(n, tol),
+            self._pass, lo, hi, targets, np.full(n, tol),
             max_iter, self._cube(lo), self._cube(hi), df_lo, np.full(n, 3.0),
         )
         want = [
             solve_increasing(
                 self._cube, 0.5, 1.0, t, deriv=self._slope, tol=tol, max_iter=max_iter,
-                f_lo=0.125, f_hi=1.0, df_lo=d, df_hi=3.0,
+                f_lo=0.125, f_hi=1.0, df_lo=d, df_hi=3.0, curvature=self._curvature,
             )
             for t, d in zip(targets.tolist(), df_lo.tolist())
         ]
@@ -467,6 +475,126 @@ class TestSolveIncreasingArray:
             self._both(np.array([0.2, 0.9]), np.full(2, 0.75), tol=1e-300, max_iter=1)
         with pytest.raises(BracketError):
             self._both(np.array([0.2, 1.5]), np.full(2, 0.75))
+
+
+class TestHalleyClosingStep:
+    """With a curvature, an opening point that fails the residual test ends
+    the solve with Halley's step where Newton's own predicted residual passes;
+    elsewhere the solve goes on as without it.  The scalar and the array solve
+    agree bit for bit either way."""
+
+    @staticmethod
+    def _cube(s):
+        return s * s * s
+
+    @staticmethod
+    def _slope(s):
+        return 3.0 * s * s
+
+    @staticmethod
+    def _curvature(s):
+        return 6.0 * s
+
+    def _scalar(self, lo, hi, target, *, slope=None, curvature=None, tol=1e-13, max_iter=100):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return self._cube(s)
+
+        slope = slope or self._slope
+        root = solve_increasing(
+            f, lo, hi, target, deriv=slope, tol=tol, max_iter=max_iter, f_lo=self._cube(lo),
+            f_hi=self._cube(hi), df_lo=slope(lo), df_hi=slope(hi), curvature=curvature,
+        )
+        return root, calls
+
+    def _array(self, lo, hi, target, *, slope=None, curvature=None, tol=1e-13, max_iter=100):
+        calls = []
+        slope, curvature = slope or self._slope, curvature or self._curvature
+
+        def f(s, curve=False):
+            calls.append(s.tolist())
+            return (self._cube(s), slope(s), curvature(s))[: 3 if curve else 2]
+
+        one = np.ones(1)
+        root = _solve_increasing_array(
+            f, lo * one, hi * one, target * one, tol * one, max_iter, self._cube(lo) * one,
+            self._cube(hi) * one, slope(lo) * one, slope(hi) * one,
+        )
+        return float(root[0]), [c[0] for c in calls]
+
+    # on a narrow cell the Hermite point is close enough for the rule, on a wide one not
+    NARROW, WIDE = (0.7, 0.7 + 2.0**-6, 0.7005**3), (0.5, 1.0, 0.7**3)
+
+    def test_acceptance_is_one_pass_and_the_halley_step(self):
+        lo, hi, target = self.NARROW
+        root, calls = self._scalar(lo, hi, target, curvature=self._curvature)
+        assert len(calls) == 1
+        x = calls[0]
+        assert abs(self._cube(x) - target) > 1e-13  # the residual test fails at x
+        dn = (self._cube(x) - target) / self._slope(x)
+        assert root == x - dn / (1.0 - dn * self._curvature(x) / (2.0 * self._slope(x)))
+        assert (root, calls) == self._array(lo, hi, target)
+        # without the curvature the same point takes a second pass
+        assert len(self._scalar(lo, hi, target)[1]) == 2
+
+    def test_rejection_keeps_the_solve_without_curvature(self):
+        lo, hi, target = self.WIDE
+        with_rule = self._scalar(lo, hi, target, curvature=self._curvature)
+        assert with_rule == self._scalar(lo, hi, target)
+        assert len(with_rule[1]) > 1
+        assert with_rule == self._array(lo, hi, target)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_curvature_falls_back(self, bad):
+        lo, hi, target = self.NARROW
+
+        def curvature(s):
+            return s * bad
+
+        got = self._scalar(lo, hi, target, curvature=curvature)
+        assert got == self._scalar(lo, hi, target)
+        assert got == self._array(lo, hi, target, curvature=curvature)
+
+    def test_infinite_slope_falls_back(self):
+        # a slope of inf at every point: no Newton step, so no Halley step,
+        # and the solve bisects as it does without a curvature
+        lo, hi, target = self.NARROW
+
+        def slope(s):
+            return s * math.inf
+
+        got = self._scalar(lo, hi, target, slope=slope, curvature=self._curvature)
+        assert got == self._scalar(lo, hi, target, slope=slope)
+        assert got == self._array(lo, hi, target, slope=slope)
+
+    def test_one_iteration_returns_or_raises_alike(self):
+        lo, hi, target = self.NARROW
+        root = self._scalar(lo, hi, target, curvature=self._curvature, max_iter=1)[0]
+        assert root == self._array(lo, hi, target, max_iter=1)[0]
+        with pytest.raises(NonConvergenceError):
+            self._scalar(lo, hi, target, max_iter=1)
+        lo, hi, target = self.WIDE
+        with pytest.raises(NonConvergenceError):
+            self._scalar(lo, hi, target, curvature=self._curvature, max_iter=1)
+        with pytest.raises(NonConvergenceError):
+            self._array(lo, hi, target, max_iter=1)
+
+    def test_without_curvature_the_roots_keep_their_bits(self):
+        # roots of s**3 = t by the solve as it was before the curvature existed
+        pinned = [
+            "0x1.870dcaf8278b6p-1", "0x1.870dcaf827a0ep-1", "0x1.5683c4004f389p-1",
+            "0x1.5683c4004f504p-1", "0x1.2ca7fb7c2a9bbp-1", "0x1.2ca7fb7c2aa68p-1",
+            "0x1.c5db7074fbae6p-1", "0x1.c5db7074fbbb6p-1", "0x1.9d8a657bf8efep-1",
+            "0x1.9d8a657bf8e88p-1", "0x1.fe2724aef5d1dp-1", "0x1.fe2724aef5cbcp-1",
+        ]
+        got = []
+        for t in np.random.default_rng(22).uniform(0.125, 1.0, 6).tolist():
+            got.append(solve_increasing(self._cube, 0.5, 1.0, t, deriv=self._slope, f_lo=0.125,
+                                        f_hi=1.0, df_lo=0.75, df_hi=3.0).hex())
+            got.append(solve_increasing(self._cube, 0.5, 1.0, t).hex())
+        assert got == pinned
 
 
 def _one(t):
